@@ -15,8 +15,7 @@
 // served, because GPU request counts are far higher than on CPUs.
 #pragma once
 
-#include <cassert>
-
+#include "common/sim_error.hpp"
 #include "gpu/simulator.hpp"
 
 namespace gpusim {
@@ -28,9 +27,16 @@ class PriorityEpochDriver final : public CycleHook {
   /// at the window's end); the rest of the window runs without priority.
   PriorityEpochDriver(Cycle interval, Cycle epoch_length, int num_apps)
       : interval_(interval), epoch_length_(epoch_length), num_apps_(num_apps) {
-    assert(num_apps_ > 0);
-    assert(epoch_length_ * static_cast<Cycle>(num_apps_) < interval_ &&
-           "epochs must leave a no-priority measurement region");
+    SIM_CHECK(num_apps_ > 0,
+              SimError(SimErrorKind::kConfig, "baselines.priority_epochs",
+                       "priority epochs need at least one application")
+                  .detail("num_apps", num_apps_));
+    SIM_CHECK(epoch_length_ * static_cast<Cycle>(num_apps_) < interval_,
+              SimError(SimErrorKind::kConfig, "baselines.priority_epochs",
+                       "epochs must leave a no-priority measurement region")
+                  .detail("interval", interval_)
+                  .detail("epoch_length", epoch_length_)
+                  .detail("num_apps", num_apps_));
   }
 
   /// Convenient default: each app's epoch is 5% of the interval.

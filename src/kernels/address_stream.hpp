@@ -24,10 +24,10 @@
 #pragma once
 
 #include <algorithm>
-#include <cassert>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/sim_error.hpp"
 #include "common/types.hpp"
 #include "kernels/kernel_profile.hpp"
 
@@ -69,8 +69,17 @@ class AddressStream {
         lines_in_ws_(profile->working_set_bytes / kLineBytes),
         hot_lines_(profile->hot_set_bytes / kLineBytes),
         block_(block) {
-    assert(lines_in_ws_ > hot_lines_);
-    assert(block_ != nullptr);
+    // stream_lines() is a modulus: the hot set must leave streaming lines.
+    SIM_CHECK(lines_in_ws_ > hot_lines_,
+              SimError(SimErrorKind::kConfig, "kernels.address_stream",
+                       "kernel hot set leaves no streaming lines in the "
+                       "working set")
+                  .app(app)
+                  .detail("kernel", profile->abbr)
+                  .detail("working_set_bytes", profile->working_set_bytes)
+                  .detail("hot_set_bytes", profile->hot_set_bytes));
+    SIM_INVARIANT(block_ != nullptr, "kernels.address_stream",
+                  "warp address stream without a block stream");
   }
 
   /// Initialises the shared stream of a newly launched thread block.

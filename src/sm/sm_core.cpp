@@ -13,7 +13,9 @@ SmCore::SmCore(const GpuConfig& cfg, SmId id, const AddressMap& address_map)
       address_map_(address_map),
       l1_(cfg.l1_num_sets(), cfg.l1_assoc, cfg.line_bytes),
       l1_mshr_(cfg.l1_mshr_entries),
-      out_queue_(kOutQueueDepth) {
+      out_queue_(kOutQueueDepth),
+      ready_(cfg.max_warps_per_sm),
+      waiting_(cfg.max_warps_per_sm) {
   warps_.resize(cfg.max_warps_per_sm);
   blocks_.resize(cfg.max_blocks_per_sm);
 }
@@ -38,13 +40,7 @@ bool SmCore::drained() const {
       l1_mshr_.in_flight() != 0 || !dup_expect_.empty()) {
     return false;
   }
-  for (const WarpCtx& w : warps_) {
-    if (w.state == WarpCtx::State::kReady ||
-        w.state == WarpCtx::State::kWaitingMem) {
-      return false;
-    }
-  }
-  return true;
+  return !ready_.any() && !waiting_.any();
 }
 
 void SmCore::release() {
@@ -59,9 +55,11 @@ void SmCore::release() {
   source_ = nullptr;
   draining_ = false;
   last_issued_ = -1;
-  ready_warps_ = 0;
   for (WarpCtx& w : warps_) w = WarpCtx{};
   for (BlockSlot& b : blocks_) b = BlockSlot{};
+  ready_.clear();
+  waiting_.clear();
+  active_blocks_ = 0;
   l1_.clear();
   l1_mshr_.clear();
   retries_.clear();
@@ -80,47 +78,21 @@ int SmCore::max_concurrent_blocks() const {
   return limit;
 }
 
-int SmCore::active_blocks() const {
-  int n = 0;
-  for (const BlockSlot& b : blocks_) n += b.active ? 1 : 0;
-  return n;
-}
-
-int SmCore::live_warps() const {
-  int n = 0;
-  for (const WarpCtx& w : warps_) {
-    n += (w.state == WarpCtx::State::kReady ||
-          w.state == WarpCtx::State::kWaitingMem)
-             ? 1
-             : 0;
-  }
-  return n;
-}
-
 void SmCore::refill_blocks(Cycle now) {
   if (source_ == nullptr || draining_) return;
   const int limit = max_concurrent_blocks();
-  if (active_blocks() >= limit) return;
+  if (active_blocks_ >= limit) return;
   const KernelProfile& profile = source_->profile();
 
   for (int slot = 0; slot < static_cast<int>(blocks_.size()); ++slot) {
     if (blocks_[slot].active) continue;
-    if (active_blocks() >= limit) break;
-    // Gather free warp contexts for one block.
-    std::vector<int> free_ctxs;
-    for (int w = 0; w < static_cast<int>(warps_.size()); ++w) {
-      if (warps_[w].state == WarpCtx::State::kUnused ||
-          warps_[w].state == WarpCtx::State::kDone) {
-        free_ctxs.push_back(w);
-        if (static_cast<int>(free_ctxs.size()) == profile.warps_per_block) {
-          break;
-        }
-      }
-    }
-    if (static_cast<int>(free_ctxs.size()) < profile.warps_per_block) break;
+    if (active_blocks_ >= limit) break;
+    const int free_ctxs = static_cast<int>(warps_.size()) - live_warps();
+    if (free_ctxs < profile.warps_per_block) break;
     const std::optional<u64> block = source_->try_alloc_block();
     if (!block.has_value()) break;
 
+    ++active_blocks_;
     blocks_[slot].active = true;
     blocks_[slot].block_index = *block;
     blocks_[slot].warps_remaining = profile.warps_per_block;
@@ -130,11 +102,13 @@ void SmCore::refill_blocks(Cycle now) {
     }
     blocks_[slot].stream = AddressStream::make_block_stream(
         profile, source_->app_seed(), *block);
+    // Warp i of the block takes the i-th lowest free context.
     for (int i = 0; i < profile.warps_per_block; ++i) {
-      WarpCtx& w = warps_[free_ctxs[i]];
+      const int ctx = ready_.first_clear_in_both(waiting_);
+      WarpCtx& w = warps_[ctx];
       w = WarpCtx{};
       w.state = WarpCtx::State::kReady;
-      ++ready_warps_;
+      ready_.set(ctx);
       w.budget = profile.instrs_per_warp;
       w.block_slot = slot;
       w.stream.emplace(&profile, source_->app(), source_->app_seed(), *block,
@@ -270,30 +244,15 @@ void SmCore::issue(Cycle now) {
   (void)now;
   // Greedy-then-oldest: stick with the last issued warp while it stays
   // ready, otherwise take the lowest-indexed ready warp.
-  WarpId pick = -1;
-  if (last_issued_ >= 0 &&
-      warps_[last_issued_].state == WarpCtx::State::kReady) {
-    pick = last_issued_;
-  } else {
-    for (int w = 0; w < static_cast<int>(warps_.size()); ++w) {
-      if (warps_[w].state == WarpCtx::State::kReady) {
-        pick = w;
-        break;
-      }
-    }
-  }
+  const WarpId pick = last_issued_ >= 0 && ready_.test(last_issued_)
+                           ? last_issued_
+                           : ready_.first();
 
   if (pick < 0) {
-    bool any_waiting = false;
-    bool any_live = false;
-    for (const WarpCtx& w : warps_) {
-      any_waiting |= w.state == WarpCtx::State::kWaitingMem;
-      any_live |= w.state != WarpCtx::State::kUnused &&
-                  w.state != WarpCtx::State::kDone;
-    }
-    if (any_waiting) {
+    // No warp is ready, so any live warp is waiting on memory.
+    if (waiting_.any()) {
       counters_.mem_stall_cycles.add();
-    } else if (!any_live) {
+    } else {
       counters_.idle_cycles.add();
     }
     return;
@@ -319,7 +278,8 @@ void SmCore::issue(Cycle now) {
   warp.compute_remaining = warp.stream->next_compute_run();
   warp.outstanding = static_cast<int>(addr_scratch_.size());
   warp.state = WarpCtx::State::kWaitingMem;
-  --ready_warps_;
+  ready_.reset(pick);
+  waiting_.set(pick);
   for (u64 addr : addr_scratch_) {
     pending_txns_.push_back({pick, addr});
   }
@@ -341,15 +301,17 @@ void SmCore::complete_txn(WarpId warp_id) {
       retire_warp(warp_id);
     } else {
       warp.state = WarpCtx::State::kReady;
-      ++ready_warps_;
+      waiting_.reset(warp_id);
+      ready_.set(warp_id);
     }
   }
 }
 
 void SmCore::retire_warp(WarpId warp_id) {
   WarpCtx& warp = warps_[warp_id];
-  if (warp.state == WarpCtx::State::kReady) --ready_warps_;
   warp.state = WarpCtx::State::kDone;
+  ready_.reset(warp_id);
+  waiting_.reset(warp_id);
   BlockSlot& block = blocks_[warp.block_slot];
   SIM_CHECK(block.active && block.warps_remaining > 0,
             SimError(SimErrorKind::kInvariant, "sm.core",
@@ -360,6 +322,7 @@ void SmCore::retire_warp(WarpId warp_id) {
                 .detail("warps_remaining", block.warps_remaining));
   if (--block.warps_remaining == 0) {
     block.active = false;
+    --active_blocks_;
     source_->on_block_complete(block.block_index);
     // Free every context of this block for reuse.
     for (WarpCtx& w : warps_) {
@@ -369,6 +332,33 @@ void SmCore::retire_warp(WarpId warp_id) {
       }
     }
   }
+}
+
+void SmCore::derive_bookkeeping(WarpMask& ready, WarpMask& waiting,
+                                int& active_blocks) const {
+  ready.clear();
+  waiting.clear();
+  for (int i = 0; i < static_cast<int>(warps_.size()); ++i) {
+    if (warps_[i].state == WarpCtx::State::kReady) ready.set(i);
+    if (warps_[i].state == WarpCtx::State::kWaitingMem) waiting.set(i);
+  }
+  active_blocks = static_cast<int>(
+      std::count_if(blocks_.begin(), blocks_.end(),
+                    [](const BlockSlot& b) { return b.active; }));
+}
+
+std::string SmCore::audit_bookkeeping() const {
+  WarpMask ready(static_cast<int>(warps_.size()));
+  WarpMask waiting(static_cast<int>(warps_.size()));
+  int active = 0;
+  derive_bookkeeping(ready, waiting, active);
+  if (!(ready == ready_)) return "ready mask disagrees with warp states";
+  if (!(waiting == waiting_)) return "waiting mask disagrees with warp states";
+  if (active != active_blocks_) {
+    return "active-block count " + std::to_string(active_blocks_) +
+           " disagrees with " + std::to_string(active) + " active slots";
+  }
+  return "";
 }
 
 void SmCore::load(StateReader& r, BlockSource* source) {
@@ -383,13 +373,7 @@ void SmCore::load(StateReader& r, BlockSource* source) {
                 .detail("sm", id_)
                 .detail("last_issued", last_issued_)
                 .detail("warp_contexts", warps_.size()));
-  ready_warps_ = r.get_i32();
-  SIM_CHECK(ready_warps_ >= 0 &&
-                ready_warps_ <= static_cast<int>(warps_.size()),
-            SimError(SimErrorKind::kSnapshot, "sm.core",
-                     "corrupt ready-warp count in snapshot")
-                .detail("sm", id_)
-                .detail("ready_warps", ready_warps_));
+  const int saved_ready = r.get_i32();
   for (BlockSlot& b : blocks_) {
     b.active = r.get_bool();
     b.block_index = r.get_u64();
@@ -438,6 +422,16 @@ void SmCore::load(StateReader& r, BlockSource* source) {
       w.stream->load(r);
     }
   }
+  derive_bookkeeping(ready_, waiting_, active_blocks_);
+  // The count is redundant with the warp states; a disagreement means the
+  // snapshot is corrupt, and trusting either side would let quiet_at()
+  // put a core with issuable warps to sleep.
+  SIM_CHECK(saved_ready == ready_.count(),
+            SimError(SimErrorKind::kSnapshot, "sm.core",
+                     "ready-warp count in snapshot disagrees with warp states")
+                .detail("sm", id_)
+                .detail("ready_warps", saved_ready)
+                .detail("ready_states", ready_.count()));
   const auto check_warp_index = [this](WarpId warp, const char* what) {
     SIM_CHECK(warp >= 0 && warp < static_cast<WarpId>(warps_.size()),
               SimError(SimErrorKind::kSnapshot, "sm.core",

@@ -11,10 +11,13 @@
 // fraction α the DASE model consumes (paper Eq. 15).
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <deque>
 #include <map>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "cache/cache.hpp"
@@ -75,6 +78,60 @@ struct SmCounters {
   }
 };
 
+/// Bit set over an SM's warp contexts, ceil(bits/64) words wide so any
+/// max_warps_per_sm fits.  Bits at or past `bits` are always zero.
+class WarpMask {
+ public:
+  explicit WarpMask(int bits)
+      : bits_(bits), words_(static_cast<std::size_t>((bits + 63) / 64), 0) {}
+
+  void set(int i) { words_[word(i)] |= bit(i); }
+  void reset(int i) { words_[word(i)] &= ~bit(i); }
+  bool test(int i) const { return (words_[word(i)] & bit(i)) != 0; }
+  void clear() { std::fill(words_.begin(), words_.end(), u64{0}); }
+
+  bool any() const {
+    for (u64 w : words_) {
+      if (w != 0) return true;
+    }
+    return false;
+  }
+  int count() const {
+    int n = 0;
+    for (u64 w : words_) n += std::popcount(w);
+    return n;
+  }
+  /// Lowest set bit, or -1 when empty.
+  int first() const {
+    for (std::size_t i = 0; i < words_.size(); ++i) {
+      if (words_[i] != 0) {
+        return static_cast<int>(i * 64) + std::countr_zero(words_[i]);
+      }
+    }
+    return -1;
+  }
+  /// Lowest index below `bits` that is clear here and in `other`, or -1.
+  int first_clear_in_both(const WarpMask& other) const {
+    for (std::size_t i = 0; i < words_.size(); ++i) {
+      const u64 clear = ~(words_[i] | other.words_[i]);
+      if (clear != 0) {
+        const int idx = static_cast<int>(i * 64) + std::countr_zero(clear);
+        return idx < bits_ ? idx : -1;
+      }
+    }
+    return -1;
+  }
+
+  bool operator==(const WarpMask&) const = default;
+
+ private:
+  static std::size_t word(int i) { return static_cast<std::size_t>(i) >> 6; }
+  static u64 bit(int i) { return u64{1} << (i & 63); }
+
+  int bits_;
+  std::vector<u64> words_;
+};
+
 class SmCore {
  public:
   SmCore(const GpuConfig& cfg, SmId id, const AddressMap& address_map);
@@ -124,13 +181,7 @@ class SmCore {
   void set_flight_recorder(FlightRecorder* recorder) { recorder_ = recorder; }
 
   /// Warps currently blocked on outstanding memory transactions.
-  int waiting_warps() const {
-    int n = 0;
-    for (const WarpCtx& w : warps_) {
-      n += w.state == WarpCtx::State::kWaitingMem ? 1 : 0;
-    }
-    return n;
-  }
+  int waiting_warps() const { return waiting_.count(); }
 
   // --- Idle-cycle fast-forward support -----------------------------------
 
@@ -138,9 +189,9 @@ class SmCore {
   /// no L1 hit matures, no transaction dispatches, no warp can issue, and
   /// no outbound packet waits.  (refill_blocks() is a stable no-op in this
   /// state: it ran to saturation at the end of the previous cycle and no
-  /// SM-visible input changed since.)  `ready_warps_` makes this O(1).
+  /// SM-visible input changed since.)  The ready mask makes this O(1).
   bool quiet_at(Cycle now) const {
-    return ready_warps_ == 0 && pending_txns_.empty() &&
+    return !ready_.any() && pending_txns_.empty() &&
            out_queue_.empty() && next_retry_deadline_ > now &&
            (local_hits_.empty() || local_hits_.front().first > now);
   }
@@ -171,16 +222,9 @@ class SmCore {
   /// Applies `n` quiet cycles' worth of the issue-stage stall/idle
   /// accounting in one lump.  Valid only while quiet_at() holds throughout.
   void skip_cycles(Cycle n) {
-    bool any_waiting = false;
-    bool any_live = false;
-    for (const WarpCtx& w : warps_) {
-      any_waiting |= w.state == WarpCtx::State::kWaitingMem;
-      any_live |= w.state != WarpCtx::State::kUnused &&
-                  w.state != WarpCtx::State::kDone;
-    }
-    if (any_waiting) {
+    if (waiting_.any()) {
       counters_.mem_stall_cycles.add(n);
-    } else if (!any_live) {
+    } else if (!ready_.any()) {
       counters_.idle_cycles.add(n);
     }
   }
@@ -193,8 +237,13 @@ class SmCore {
   const SetAssocCache& l1() const { return l1_; }
 
   /// Resident thread blocks currently executing (TB_shared of Eq. 24).
-  int active_blocks() const;
-  int live_warps() const;
+  int active_blocks() const { return active_blocks_; }
+  int live_warps() const { return ready_.count() + waiting_.count(); }
+
+  /// Re-derives the warp masks and the active-block count from the warp
+  /// and block states; returns a description of the first disagreement,
+  /// or an empty string when the maintained bookkeeping is consistent.
+  std::string audit_bookkeeping() const;
 
   // --- Modeled recovery (GpuConfig::mshr_retry_enabled) ------------------
 
@@ -224,12 +273,14 @@ class SmCore {
   // and then overwritten with their saved RNG state; blocks_ must therefore
   // be restored before warps_ (each stream points at its block's shared
   // cursor).  addr_scratch_ is per-instruction scratch, dead between cycles.
+  // The warp masks and the active-block count are derived from the warp and
+  // block states; only the ready-warp count is written, as a cross-check.
   template <typename Sink>
   void write_state(Sink& s) const {
     s.put_tag("SMCR");
     s.put_bool(draining_);
     s.put_i32(last_issued_);
-    s.put_i32(ready_warps_);
+    s.put_i32(ready_.count());
     for (const BlockSlot& b : blocks_) {
       s.put_bool(b.active);
       s.put_u64(b.block_index);
@@ -323,6 +374,8 @@ class SmCore {
   void issue(Cycle now);
   void complete_txn(WarpId warp);
   void retire_warp(WarpId warp);
+  void derive_bookkeeping(WarpMask& ready, WarpMask& waiting,
+                          int& active_blocks) const;
   void check_retries(Cycle now);
   void recompute_next_retry_deadline();
   int max_concurrent_blocks() const;
@@ -343,9 +396,12 @@ class SmCore {
   BoundedQueue<MemRequestPacket> out_queue_;
 
   WarpId last_issued_ = -1;
-  /// Count of warps in State::kReady, maintained at every state
-  /// transition so quiet_at() needs no warp scan.
-  int ready_warps_ = 0;
+  // Warp-state bitmasks, updated at every state transition so the issue
+  // stage and the stall/idle accounting never scan warps_.  A context in
+  // neither mask is free (kUnused or kDone).
+  WarpMask ready_;    ///< State::kReady
+  WarpMask waiting_;  ///< State::kWaitingMem
+  int active_blocks_ = 0;  ///< BlockSlots with active set
   std::vector<u64> addr_scratch_;
   SmCounters counters_;
   PerAppCounter* instr_sink_ = nullptr;

@@ -3,6 +3,7 @@
 #include "baselines/asm_model.hpp"
 #include "baselines/mise_model.hpp"
 #include "baselines/priority_epochs.hpp"
+#include "common/sim_error.hpp"
 #include "kernels/app_registry.hpp"
 
 namespace gpusim {
@@ -151,8 +152,28 @@ TEST_F(BaselinesTest, EpochDriverDefaultsLeaveMeasurementRegion) {
   GpuConfig cfg;
   auto driver = PriorityEpochDriver::with_defaults(cfg, 4);
   // 4 epochs of interval/20 leave 80% of the interval priority-free;
-  // construction would assert otherwise.
+  // construction would throw otherwise.
   SUCCEED();
+}
+
+TEST_F(BaselinesTest, EpochDriverRejectsZeroApps) {
+  try {
+    PriorityEpochDriver driver(1000, 100, 0);
+    FAIL() << "built an epoch schedule for no applications";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimErrorKind::kConfig) << e.what();
+  }
+}
+
+TEST_F(BaselinesTest, EpochDriverRejectsEpochsFillingTheInterval) {
+  // 2 apps x 500 cycles = the whole 1000-cycle interval: no no-priority
+  // region would remain to measure the shared service rate in.
+  try {
+    PriorityEpochDriver driver(1000, 500, 2);
+    FAIL() << "built an epoch schedule with no measurement region";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimErrorKind::kConfig) << e.what();
+  }
 }
 
 }  // namespace

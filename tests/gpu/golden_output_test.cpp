@@ -1,0 +1,101 @@
+// Golden-output pins: fixed short co-runs whose final state hash, snapshot
+// bytes and per-app instruction totals are recorded constants.  The warp
+// scheduler, the address streams and the memory pipeline all feed these
+// numbers, so any change to which warp issues on which cycle — even one
+// that keeps every aggregate statistic plausible — fails here.  A change
+// that alters simulated behaviour on purpose must re-record the constants
+// and say why.
+#include <gtest/gtest.h>
+
+#include <memory>
+#include <vector>
+
+#include "common/simstate.hpp"
+#include "gpu/simulator.hpp"
+#include "harness/runner.hpp"
+#include "kernels/app_registry.hpp"
+#include "sched/policies.hpp"
+
+namespace gpusim {
+namespace {
+
+constexpr Cycle kCycles = 30'000;
+
+struct Golden {
+  u64 state_hash;
+  u64 snapshot_digest;
+  u64 snapshot_bytes;
+  u64 instructions_app0;
+  u64 instructions_app1;
+};
+
+void expect_golden(const Simulation& sim, const Golden& want) {
+  StateWriter w;
+  sim.save(w);
+  Hasher h;
+  for (u8 b : w.bytes()) h.put_u8(b);
+  EXPECT_EQ(sim.state_hash(), want.state_hash);
+  EXPECT_EQ(h.digest(), want.snapshot_digest);
+  EXPECT_EQ(w.bytes().size(), want.snapshot_bytes);
+  EXPECT_EQ(sim.gpu().instructions().total(0), want.instructions_app0);
+  EXPECT_EQ(sim.gpu().instructions().total(1), want.instructions_app1);
+}
+
+std::unique_ptr<Simulation> make_pair(const GpuConfig& cfg,
+                                      const KernelProfile& a,
+                                      const KernelProfile& b, bool engine_on) {
+  auto sim = std::make_unique<Simulation>(
+      cfg, std::vector<AppLaunch>{AppLaunch{a, 2001}, AppLaunch{b, 2002}});
+  sim->set_activity_sched(engine_on);
+  sim->set_fast_forward(engine_on);
+  sim->gpu().set_partition(even_partition(sim->gpu().num_sms(), 2));
+  return sim;
+}
+
+// The contended SD+SA co-run of the throughput bench.  Both cycle paths
+// must land on the same pinned state.
+constexpr Golden kSdSa{7214955592663291594u, 14748529290264916542u, 304357,
+                       6330, 29595};
+
+TEST(GoldenOutput, ContendedPairEngineOn) {
+  auto sim = make_pair(GpuConfig{}, *find_app("SD"), *find_app("SA"), true);
+  sim->run(kCycles);
+  expect_golden(*sim, kSdSa);
+}
+
+TEST(GoldenOutput, ContendedPairEngineOff) {
+  auto sim = make_pair(GpuConfig{}, *find_app("SD"), *find_app("SA"), false);
+  sim->run(kCycles);
+  expect_golden(*sim, kSdSa);
+}
+
+// MISE and ASM attach the priority-epoch CycleHook, which keeps every SM
+// on the per-cycle walk.
+TEST(GoldenOutput, EpochHookedPair) {
+  RunConfig rc;
+  Workload w;
+  w.apps.push_back(*find_app("NN"));
+  w.apps.push_back(*find_app("BS"));
+  const ModelSet models{.dase = true, .mise = true, .asm_model = true};
+  CoRunAssembly a = assemble_corun(rc, w, models, PolicyKind::kEven);
+  a.sim->run(kCycles);
+  expect_golden(*a.sim, Golden{10011073988206970197u, 8794152374467795266u,
+                               345890, 13957, 16271});
+}
+
+// 96 warp contexts, filled by eight 12-warp blocks of a memory-bound
+// kernel: warps past index 63 issue whenever the lower ones all wait on
+// memory, so any per-word bookkeeping in the SM is exercised.
+TEST(GoldenOutput, NinetySixWarpConfig) {
+  GpuConfig cfg;
+  cfg.max_warps_per_sm = 96;
+  KernelProfile wide = *find_app("VA");
+  wide.max_concurrent_blocks = 8;
+  auto sim = make_pair(cfg, wide, *find_app("CS"), false);
+  sim->run(kCycles);
+  expect_golden(*sim, Golden{12467081164531592570u, 14033927887869089817u,
+                             382016, 11958, 240000});
+}
+
+}  // namespace
+}  // namespace gpusim

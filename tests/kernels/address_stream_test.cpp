@@ -5,6 +5,7 @@
 #include <map>
 #include <vector>
 
+#include "common/sim_error.hpp"
 #include "kernels/app_registry.hpp"
 
 namespace gpusim {
@@ -152,6 +153,29 @@ TEST(AddressStreamTest, ComputeRunLengthNearMean) {
     total += static_cast<double>(run);
   }
   EXPECT_NEAR(total / kDraws, 9.0, 0.25);
+}
+
+TEST(AddressStreamTest, RejectsHotSetFillingTheWorkingSet) {
+  KernelProfile p = test_profile();
+  p.working_set_bytes = 1 << 20;
+  p.hot_set_bytes = 1 << 20;  // no streaming lines left
+  BlockStream b;
+  try {
+    AddressStream s(&p, 0, 42, 0, 0, &b);
+    FAIL() << "built a stream with an empty streaming region";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimErrorKind::kConfig) << e.what();
+  }
+}
+
+TEST(AddressStreamTest, RejectsMissingBlockStream) {
+  const KernelProfile p = test_profile();
+  try {
+    AddressStream s(&p, 0, 42, 0, 0, nullptr);
+    FAIL() << "built a warp stream without its block's shared cursor";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimErrorKind::kInvariant) << e.what();
+  }
 }
 
 class AllAppsStreamTest : public ::testing::TestWithParam<int> {};

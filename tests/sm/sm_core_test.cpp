@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <optional>
+#include <utility>
+#include <vector>
 
+#include "common/simstate.hpp"
 #include "gpu/app_runtime.hpp"
 
 namespace gpusim {
@@ -29,6 +34,75 @@ KernelProfile memory_profile() {
   p.mem_fraction = 0.5;
   return p;
 }
+
+KernelProfile l1_hot_profile() {
+  KernelProfile p = memory_profile();
+  p.abbr = "HT";
+  p.hot_fraction = 0.999;
+  p.hot_set_bytes = 128;  // a single line: everything hits after one fill
+  return p;
+}
+
+/// Stand-in memory system for one SM: answers every request a fixed
+/// latency after the SM sends it, and checks the SM's maintained warp
+/// bookkeeping against the warp states after every cycle.
+class AuditedLoop {
+ public:
+  explicit AuditedLoop(SmCore* sm, Cycle latency = 40)
+      : sm_(sm), latency_(latency) {}
+
+  /// Continues `other`'s in-flight responses and clock on another core
+  /// (the restored copy of a snapshotted one).
+  AuditedLoop(SmCore* sm, const AuditedLoop& other)
+      : sm_(sm), latency_(other.latency_), now_(other.now_),
+        max_warp_seen_(other.max_warp_seen_), inflight_(other.inflight_) {}
+
+  void run(Cycle cycles) {
+    for (const Cycle end = now_ + cycles; now_ < end; ++now_) {
+      step();
+      ASSERT_EQ(sm_->audit_bookkeeping(), "") << "cycle " << now_;
+    }
+  }
+
+  /// Runs until the core is drained; false if that takes over `limit`.
+  bool run_until_drained(Cycle limit) {
+    for (const Cycle end = now_ + limit; now_ < end; ++now_) {
+      if (sm_->drained()) return true;
+      step();
+      EXPECT_EQ(sm_->audit_bookkeeping(), "") << "cycle " << now_;
+    }
+    return sm_->drained();
+  }
+
+  Cycle now() const { return now_; }
+  /// Highest warp index that has sent a memory request.
+  WarpId max_warp_seen() const { return max_warp_seen_; }
+
+ private:
+  void step() {
+    while (!inflight_.empty() && inflight_.front().first <= now_) {
+      sm_->receive(inflight_.front().second);
+      inflight_.pop_front();
+    }
+    sm_->cycle(now_);
+    while (!sm_->out_queue().empty()) {
+      const MemRequestPacket pkt = sm_->out_queue().pop();
+      max_warp_seen_ = std::max(max_warp_seen_, pkt.warp);
+      MemResponsePacket resp;
+      resp.line_addr = pkt.line_addr;
+      resp.app = pkt.app;
+      resp.sm = pkt.sm;
+      resp.warp = pkt.warp;
+      inflight_.emplace_back(now_ + latency_, resp);
+    }
+  }
+
+  SmCore* sm_;
+  Cycle latency_;
+  Cycle now_ = 0;
+  WarpId max_warp_seen_ = -1;
+  std::deque<std::pair<Cycle, MemResponsePacket>> inflight_;
+};
 
 class SmCoreTest : public ::testing::Test {
  protected:
@@ -212,6 +286,144 @@ TEST_F(SmCoreTest, InstructionSinkReceivesPerAppCounts) {
   sm.assign(&rt);
   for (Cycle c = 0; c < 100; ++c) sm.cycle(c);
   EXPECT_EQ(sink.total(2), sm.counters().instructions.total());
+}
+
+// --- Warp-mask bookkeeping ---------------------------------------------
+
+TEST_F(SmCoreTest, BookkeepingConsistentComputeOnly) {
+  AppRuntime rt(compute_profile(), 0, 42);
+  SmCore sm(cfg_, 0, map_);
+  sm.assign(&rt);
+  EXPECT_EQ(sm.audit_bookkeeping(), "");
+  AuditedLoop loop(&sm);
+  loop.run(3000);
+  EXPECT_GT(rt.blocks_completed(), 0u);
+}
+
+TEST_F(SmCoreTest, BookkeepingConsistentMemoryBound) {
+  KernelProfile p = memory_profile();
+  p.instrs_per_warp = 40;
+  AppRuntime rt(p, 0, 42);
+  SmCore sm(cfg_, 0, map_);
+  sm.assign(&rt);
+  AuditedLoop loop(&sm, 200);
+  loop.run(20'000);
+  EXPECT_GT(sm.counters().mem_stall_cycles.total(), 0u);
+  EXPECT_GT(rt.blocks_completed(), 0u);
+}
+
+TEST_F(SmCoreTest, BookkeepingConsistentL1Hot) {
+  AppRuntime rt(l1_hot_profile(), 0, 42);
+  SmCore sm(cfg_, 0, map_);
+  sm.assign(&rt);
+  AuditedLoop loop(&sm);
+  loop.run(3000);
+  EXPECT_GT(sm.counters().l1_hits.total(), 100u);
+}
+
+TEST_F(SmCoreTest, BookkeepingConsistentThroughDrainCancelAndReassign) {
+  KernelProfile p = memory_profile();
+  p.instrs_per_warp = 60;
+  AppRuntime rt(p, 0, 42);
+  SmCore sm(cfg_, 0, map_);
+  sm.assign(&rt);
+  AuditedLoop loop(&sm);
+  loop.run(500);
+  sm.start_drain();
+  loop.run(100);
+  sm.cancel_drain();
+  loop.run(500);
+  sm.start_drain();
+  ASSERT_TRUE(loop.run_until_drained(50'000));
+  EXPECT_EQ(sm.active_blocks(), 0);
+  EXPECT_EQ(sm.live_warps(), 0);
+  sm.release();
+  EXPECT_EQ(sm.audit_bookkeeping(), "");
+
+  AppRuntime rt2(l1_hot_profile(), 1, 43);
+  sm.assign(&rt2, loop.now());
+  EXPECT_EQ(sm.audit_bookkeeping(), "");
+  loop.run(1000);
+  EXPECT_GT(sm.live_warps(), 0);
+}
+
+TEST_F(SmCoreTest, BookkeepingRebuiltOnLoadMidRun) {
+  AppRuntime rt(memory_profile(), 0, 42);
+  SmCore sm(cfg_, 0, map_);
+  sm.assign(&rt);
+  AuditedLoop loop(&sm, 100);
+  loop.run(1500);
+  ASSERT_GT(sm.waiting_warps(), 0) << "snapshot should catch warps mid-miss";
+
+  StateWriter w_rt;
+  rt.save(w_rt);
+  StateWriter w_sm;
+  sm.save(w_sm);
+  AppRuntime rt2(memory_profile(), 0, 42);
+  StateReader r_rt(w_rt.bytes());
+  rt2.load(r_rt);
+  SmCore restored(cfg_, 0, map_);
+  StateReader r_sm(w_sm.bytes());
+  restored.load(r_sm, &rt2);
+  EXPECT_EQ(restored.audit_bookkeeping(), "");
+  EXPECT_EQ(restored.live_warps(), sm.live_warps());
+  EXPECT_EQ(restored.active_blocks(), sm.active_blocks());
+
+  AuditedLoop restored_loop(&restored, loop);
+  loop.run(2000);
+  restored_loop.run(2000);
+  Hasher a;
+  sm.hash(a);
+  Hasher b;
+  restored.hash(b);
+  EXPECT_EQ(a.digest(), b.digest());
+}
+
+TEST_F(SmCoreTest, BookkeepingConsistentWithTwoMaskWords) {
+  // 96 contexts need two 64-bit mask words; 24 resident 4-warp blocks
+  // fill all of them, so warps past index 63 issue and wait.
+  cfg_.max_warps_per_sm = 96;
+  cfg_.max_blocks_per_sm = 24;
+  KernelProfile p = memory_profile();
+  p.instrs_per_warp = 40;
+  AppRuntime rt(p, 0, 42);
+  SmCore sm(cfg_, 0, map_);
+  sm.assign(&rt);
+  EXPECT_EQ(sm.live_warps(), 96);
+  EXPECT_EQ(sm.active_blocks(), 24);
+  AuditedLoop loop(&sm, 200);
+  loop.run(60'000);
+  EXPECT_GE(loop.max_warp_seen(), 64);
+  EXPECT_GT(rt.blocks_completed(), 24u);
+}
+
+TEST_F(SmCoreTest, LoadRejectsReadyCountThatDisagreesWithWarpStates) {
+  AppRuntime rt(memory_profile(), 0, 42);
+  SmCore sm(cfg_, 0, map_);
+  sm.assign(&rt);
+  AuditedLoop loop(&sm, 100);
+  loop.run(1500);
+  StateWriter w;
+  sm.save(w);
+  std::vector<u8> bytes = w.bytes();
+  // Layout: "SMCR" tag, draining flag, last-issued index, ready count.
+  constexpr std::size_t kReadyCountAt = 4 + 1 + 4;
+  StateReader peek(bytes);
+  peek.expect_tag("SMCR");
+  peek.get_bool();
+  peek.get_i32();
+  const i32 ready = peek.get_i32();
+  // Wrong but in range, so only the cross-check against the states fails.
+  bytes[kReadyCountAt] = static_cast<u8>(ready > 0 ? ready - 1 : ready + 1);
+
+  SmCore restored(cfg_, 0, map_);
+  StateReader r(bytes);
+  try {
+    restored.load(r, &rt);
+    FAIL() << "loaded a ready-warp count that no warp state backs";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimErrorKind::kSnapshot) << e.what();
+  }
 }
 
 }  // namespace
