@@ -112,10 +112,14 @@ void MemoryController::grant_bus(Cycle now) {
 }
 
 void MemoryController::finish_preps(Cycle now) {
-  for (int b = 0; b < cfg_.banks_per_mc; ++b) {
+  // Ascending bank order: the bus_ready_ push order of preps finishing in
+  // the same cycle is simulated state.
+  for (u32 m = preparing_mask_; m != 0; m &= m - 1) {
+    const int b = std::countr_zero(m);
     Bank& bank = banks_[b];
-    if (!bank.preparing || bank.prep_done > now) continue;
+    if (bank.prep_done > now) continue;
     bank.preparing = false;
+    preparing_mask_ &= ~(1u << b);
     --preparing_count_;
     bank.row_open = true;
     bank.open_row = bank.pending.row;
@@ -144,6 +148,16 @@ void MemoryController::issue_one(Cycle now) {
   // not actually observe alone behaviour.
   const bool prio_active =
       priority_app_ != kInvalidApp && queued_mask_[priority_app_] != 0;
+  // Every queued request to a bank that is not preparing is an FR-FCFS
+  // candidate (a row hit, or else a miss that can start a prep), so when
+  // all candidate banks are preparing the scan below cannot pick anything.
+  u32 candidate_banks = 0;
+  if (prio_active) {
+    candidate_banks = queued_mask_[priority_app_];
+  } else {
+    for (AppId a = 0; a < num_apps_; ++a) candidate_banks |= queued_mask_[a];
+  }
+  if ((candidate_banks & ~preparing_mask_) == 0) return;
   auto hit_pick = queue_.end();
   auto oldest_pick = queue_.end();
   for (auto it = queue_.begin(); it != queue_.end(); ++it) {
@@ -187,6 +201,7 @@ void MemoryController::issue_one(Cycle now) {
       counters_.erb_miss.add(cmd.app);
     }
     bank.preparing = true;
+    preparing_mask_ |= 1u << cmd.bank;
     ++preparing_count_;
     bank.pending = cmd;
     bank.prep_issue_start = now;
@@ -199,6 +214,27 @@ void MemoryController::issue_one(Cycle now) {
 }
 
 void MemoryController::account_cycle(Cycle now) { skip_cycles(now, 1); }
+
+std::string MemoryController::audit_bookkeeping() const {
+  const u32 preparing = derive_preparing_mask();
+  if (preparing != preparing_mask_) {
+    return "preparing-bank mask disagrees with bank flags";
+  }
+  if (std::popcount(preparing) != preparing_count_) {
+    return "preparing-bank count " + std::to_string(preparing_count_) +
+           " disagrees with " + std::to_string(std::popcount(preparing)) +
+           " preparing banks";
+  }
+  std::array<u32, kMaxApps> queued{};
+  for (const DramCmd& c : queue_) queued[c.app] |= 1u << c.bank;
+  for (AppId a = 0; a < num_apps_; ++a) {
+    if (queued[a] != queued_mask_[a]) {
+      return "queued-bank mask of app " + std::to_string(a) +
+             " disagrees with the request queue";
+    }
+  }
+  return "";
+}
 
 void MemoryController::skip_cycles(Cycle now, Cycle n) {
   // Bandwidth decomposition: data and turnaround-gap cycles are attributed

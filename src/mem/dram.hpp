@@ -24,9 +24,11 @@
 #include <algorithm>
 #include <bit>
 #include <deque>
+#include <string>
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/sim_error.hpp"
 #include "common/simstate.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
@@ -200,6 +202,12 @@ class MemoryController {
   int inflight_size() const { return static_cast<int>(inflight_.size()); }
   int preparing_banks() const { return preparing_count_; }
 
+  /// Re-derives the preparing-bank mask and count from the bank flags, and
+  /// the per-app queued-bank masks from the queue; returns a description
+  /// of the first disagreement, or an empty string when the maintained
+  /// bookkeeping is consistent.
+  std::string audit_bookkeeping() const;
+
   // --- Idle-cycle fast-forward support -----------------------------------
   // A controller is *quiet* at `now` when cycle(now, …) would change no
   // state other than the per-cycle counter accruals in account_cycle():
@@ -303,6 +311,16 @@ class MemoryController {
       b.prep_issue_start = r.get_u64();
     }
     preparing_count_ = r.get_i32();
+    preparing_mask_ = derive_preparing_mask();
+    // The count is redundant with the bank flags; a disagreement means the
+    // snapshot is corrupt, and trusting either side would let quiet_at()
+    // or the committed-pipeline cap act on a bank that is not preparing.
+    SIM_CHECK(preparing_count_ == std::popcount(preparing_mask_),
+              SimError(SimErrorKind::kSnapshot, "mem.dram",
+                       "preparing-bank count in snapshot disagrees with "
+                       "bank flags")
+                  .detail("preparing_count", preparing_count_)
+                  .detail("preparing_flags", std::popcount(preparing_mask_)));
     queue_.clear();
     const u64 qn = r.get_count(static_cast<u64>(queue_capacity_), "dram queue");
     for (u64 i = 0; i < qn; ++i) {
@@ -377,10 +395,18 @@ class MemoryController {
 
   Cycle next_prep_done() const {
     Cycle next = kNeverCycle;
-    for (const Bank& b : banks_) {
-      if (b.preparing) next = std::min(next, b.prep_done);
+    for (u32 m = preparing_mask_; m != 0; m &= m - 1) {
+      next = std::min(next, banks_[std::countr_zero(m)].prep_done);
     }
     return next;
+  }
+
+  u32 derive_preparing_mask() const {
+    u32 mask = 0;
+    for (int b = 0; b < static_cast<int>(banks_.size()); ++b) {
+      if (banks_[b].preparing) mask |= 1u << b;
+    }
+    return mask;
   }
 
   const GpuConfig& cfg_;
@@ -391,6 +417,7 @@ class MemoryController {
   Cycle t_rp_, t_rcd_, t_cl_, t_burst_, t_bus_gap_, t_miss_bubble_;
   std::vector<Bank> banks_;
   int preparing_count_ = 0;         ///< banks with .preparing set
+  u32 preparing_mask_ = 0;          ///< bit b set iff banks_[b].preparing
   std::deque<DramCmd> queue_;       ///< shared FR-FCFS queue, arrival order
   std::deque<InFlight> bus_ready_;  ///< column accesses awaiting a bus grant
   std::deque<InFlight> inflight_;   ///< granted accesses, completion order

@@ -1,9 +1,8 @@
 #include "sched/dase_fair.hpp"
-#include <functional>
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <functional>
 #include <limits>
 
 #include "common/sim_error.hpp"
@@ -76,7 +75,9 @@ void DaseFairOptions::validate() const {
 
 DaseFairPolicy::DaseFairPolicy(DaseModel* model, DaseFairOptions options)
     : model_(model), options_(options) {
-  assert(model_ != nullptr);
+  SIM_CHECK(model_ != nullptr,
+            SimError(SimErrorKind::kHarness, "sched.dase_fair",
+                     "DASE-Fair policy constructed without a DASE model"));
   options_.validate();
 }
 
@@ -100,8 +101,15 @@ double DaseFairPolicy::interpolate_reciprocal(double reciprocal, int assigned,
 std::vector<int> DaseFairPolicy::search_best_split(
     const std::vector<double>& reciprocals, const std::vector<int>& assigned,
     int total, int min_per_app, double* best_unfairness_out) {
-  assert(!reciprocals.empty());
-  assert(reciprocals.size() == assigned.size());
+  SIM_CHECK(!reciprocals.empty(),
+            SimError(SimErrorKind::kInvariant, "sched.dase_fair",
+                     "split search over zero applications"));
+  // predicted_unfairness() indexes `assigned` by application.
+  SIM_CHECK(reciprocals.size() == assigned.size(),
+            SimError(SimErrorKind::kInvariant, "sched.dase_fair",
+                     "reciprocal and SM-count vectors differ in size")
+                .detail("reciprocals", reciprocals.size())
+                .detail("assigned", assigned.size()));
   std::vector<int> best;
   double best_unfairness = std::numeric_limits<double>::max();
   std::vector<int> current;

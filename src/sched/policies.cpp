@@ -1,8 +1,8 @@
 #include "sched/policies.hpp"
 
 #include <algorithm>
-#include <cassert>
 
+#include "common/sim_error.hpp"
 #include "sched/governor.hpp"
 
 namespace gpusim {
@@ -37,8 +37,13 @@ void TemporalPolicy::on_cycle(Cycle now, Gpu& gpu) {
 
 DaseQosPolicy::DaseQosPolicy(DaseModel* model, DaseQosOptions options)
     : model_(model), options_(options) {
-  assert(model_ != nullptr);
-  assert(options_.target_slowdown >= 1.0);
+  SIM_CHECK(model_ != nullptr,
+            SimError(SimErrorKind::kHarness, "sched.dase_qos",
+                     "DASE-QoS policy constructed without a DASE model"));
+  SIM_CHECK(options_.target_slowdown >= 1.0,
+            SimError(SimErrorKind::kConfig, "sched.dase_qos",
+                     "target_slowdown must be at least 1.0")
+                .detail("target_slowdown", options_.target_slowdown));
 }
 
 void DaseQosPolicy::on_interval(const IntervalSample& sample, Gpu& gpu) {
@@ -48,7 +53,11 @@ void DaseQosPolicy::on_interval(const IntervalSample& sample, Gpu& gpu) {
 
   const int num_apps = gpu.num_apps();
   const AppId qos = options_.qos_app;
-  assert(qos >= 0 && qos < num_apps);
+  SIM_CHECK(qos >= 0 && qos < num_apps,
+            SimError(SimErrorKind::kConfig, "sched.dase_qos",
+                     "qos_app is not an application of this co-run")
+                .app(qos)
+                .detail("num_apps", num_apps));
   const auto& estimates = model_->latest();
   if (static_cast<int>(estimates.size()) != num_apps ||
       !estimates[qos].valid) {
@@ -94,9 +103,13 @@ void DaseQosPolicy::on_interval(const IntervalSample& sample, Gpu& gpu) {
       --needed;
     }
   } else {
-    // Release SMs to the least-endowed other app.
+    // Release SMs to the least-endowed other app, lowest-indexed QoS SM
+    // first.  `have` counts the QoS app's entries in `assignment`, so the
+    // walk always finds `to_release` of them.
     int to_release = have - want;
-    while (to_release > 0) {
+    for (auto it = assignment.begin();
+         to_release > 0 && it != assignment.end(); ++it) {
+      if (*it != qos) continue;
       AppId beneficiary = kInvalidApp;
       int beneficiary_sms = gpu.num_sms() + 1;
       for (AppId a = 0; a < num_apps; ++a) {
@@ -108,8 +121,6 @@ void DaseQosPolicy::on_interval(const IntervalSample& sample, Gpu& gpu) {
           beneficiary_sms = sms;
         }
       }
-      const auto it = std::find(assignment.begin(), assignment.end(), qos);
-      assert(it != assignment.end());
       *it = beneficiary;
       --to_release;
     }

@@ -3,12 +3,13 @@
 // The engine (gpu/gpu.hpp) is an execution strategy, not a model change:
 // a run with it enabled must be bit-identical to the per-cycle loop in
 // every piece of simulated state.  These tests sweep randomized configs —
-// SM/partition counts, queue depths, retry knobs, random workload mixes —
-// through the divergence auditor with the engine (plus fast-forward) on
-// one side and both off on the other, and rotate through the hazardous
-// scenarios: fault schedules (which pin the engine off mid-construction),
-// mid-run repartitions (engine state rebuild), and snapshot/restore
-// (synced-cursor reset on load).  Any hash mismatch names the component.
+// SM/partition counts, queue depths, crossbar accepts per cycle, retry
+// knobs, random workload mixes — through the divergence auditor with the
+// engine (plus fast-forward) on one side and both off on the other, and
+// rotate through the hazardous scenarios: fault schedules (which pin the
+// engine off mid-construction), mid-run repartitions (engine state
+// rebuild), and snapshot/restore (synced-cursor reset on load).  Any hash
+// mismatch names the component.
 #include "gpu/simulator.hpp"
 
 #include <gtest/gtest.h>
@@ -64,6 +65,8 @@ RandomCase make_case(u64 seed, bool with_faults) {
                    ",until=" + std::to_string(until) +
                    ";seed=" + std::to_string(1 + rng.next_below(1000));
   }
+  // Drawn last so the earlier draws keep describing the same cases.
+  c.cfg.noc_accepts_per_cycle = 1 + static_cast<int>(rng.next_below(2));  // 1/2
   return c;
 }
 

@@ -97,5 +97,34 @@ TEST(GoldenOutput, NinetySixWarpConfig) {
                              382016, 11958, 240000});
 }
 
+// Non-default memory-side geometry: two crossbar accepts per port per cycle
+// (so the round-robin pointer's within-cycle skip-ahead after an accept is
+// exercised) and 32 DRAM banks per controller (every bit of the 32-bit bank
+// masks in use).  Recorded from the full-scan crossbar arbitration and the
+// all-banks DRAM scans; both cycle paths must agree.
+GpuConfig wide_memory_config() {
+  GpuConfig cfg;
+  cfg.noc_accepts_per_cycle = 2;
+  cfg.banks_per_mc = 32;
+  return cfg;
+}
+
+constexpr Golden kSdSaWideMemory{7109552184697405861u, 2246642024157226801u,
+                                 314996, 6268, 31810};
+
+TEST(GoldenOutput, WideMemoryGeometryEngineOn) {
+  auto sim = make_pair(wide_memory_config(), *find_app("SD"),
+                       *find_app("SA"), true);
+  sim->run(kCycles);
+  expect_golden(*sim, kSdSaWideMemory);
+}
+
+TEST(GoldenOutput, WideMemoryGeometryEngineOff) {
+  auto sim = make_pair(wide_memory_config(), *find_app("SD"),
+                       *find_app("SA"), false);
+  sim->run(kCycles);
+  expect_golden(*sim, kSdSaWideMemory);
+}
+
 }  // namespace
 }  // namespace gpusim

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -307,6 +309,199 @@ TEST_P(DramLocalitySweepTest, MoreLocalityNeverHurtsServiceRate) {
 
 INSTANTIATE_TEST_SUITE_P(HitFractions, DramLocalitySweepTest,
                          ::testing::Values(0.0, 0.3, 0.6, 0.9, 1.0));
+
+// --- Bookkeeping audit ------------------------------------------------------
+//
+// The controller keeps a preparing-bank mask (walked by finish_preps and
+// next_prep_done, and intersected with the queued-bank masks to skip an
+// FR-FCFS scan that cannot pick anything).  These cases drive it through
+// each path and re-derive the masks from the banks and the queue after
+// every cycle.
+
+struct AuditedTraffic {
+  int num_apps = 1;
+  double enqueue_p = 0.3;
+  double hit_p = 0.5;           ///< chance a request reuses its bank's row
+  Cycle priority_period = 0;    ///< 0 = no priority epochs
+  Cycle cycles = 20'000;
+};
+
+struct AuditedStats {
+  int max_committed = 0;  ///< peak preparing banks + bus-ready accesses
+  int max_preparing = 0;
+  u64 served = 0;
+};
+
+AuditedStats run_audited(MemoryController& mc, const GpuConfig& cfg,
+                         const AuditedTraffic& t, u64 seed) {
+  Rng rng(seed);
+  std::vector<u64> row_of(cfg.banks_per_mc, 0);
+  std::vector<DramCmd> done;
+  AuditedStats stats;
+  for (Cycle now = 0; now < t.cycles; ++now) {
+    if (t.priority_period > 0 && now % t.priority_period == 0) {
+      // Rotate none -> app 0 -> app 1 -> ... -> none.
+      const Cycle epoch = now / t.priority_period % (t.num_apps + 1);
+      mc.set_priority_app(epoch == 0 ? kInvalidApp
+                                     : static_cast<AppId>(epoch - 1));
+    }
+    while (!mc.queue_full() && rng.next_bool(t.enqueue_p)) {
+      const int bank = static_cast<int>(rng.next_below(cfg.banks_per_mc));
+      if (!rng.next_bool(t.hit_p)) row_of[bank] = rng.next_below(64);
+      mc.try_enqueue(cmd(static_cast<AppId>(rng.next_below(t.num_apps)), bank,
+                         row_of[bank], now));
+    }
+    done.clear();
+    mc.cycle(now, done);
+    stats.served += done.size();
+    stats.max_committed = std::max(
+        stats.max_committed, mc.preparing_banks() + mc.bus_ready_size());
+    stats.max_preparing = std::max(stats.max_preparing, mc.preparing_banks());
+    const std::string audit = mc.audit_bookkeeping();
+    if (!audit.empty()) {
+      ADD_FAILURE() << "cycle " << now << ": " << audit;
+      return stats;
+    }
+  }
+  return stats;
+}
+
+TEST(DramAuditTest, RowHitsAndMisses) {
+  GpuConfig cfg;
+  MemoryController mc(cfg, 1);
+  const AuditedStats stats =
+      run_audited(mc, cfg, AuditedTraffic{.enqueue_p = 0.1}, 11);
+  EXPECT_GT(stats.served, 0u);
+  EXPECT_GT(mc.counters().row_hits.total(0), 0u);
+  EXPECT_GT(mc.counters().row_misses.total(0), 0u);
+}
+
+TEST(DramAuditTest, FullCommittedPipeline) {
+  // Saturating, mostly-missing traffic keeps the committed stages (bank
+  // preps + bus-ready accesses) at their cap with a backlog queued behind.
+  GpuConfig cfg;
+  MemoryController mc(cfg, 2);
+  const AuditedStats stats = run_audited(
+      mc, cfg, AuditedTraffic{.num_apps = 2, .enqueue_p = 0.9, .hit_p = 0.1},
+      12);
+  EXPECT_EQ(stats.max_committed, 8);
+  EXPECT_GT(stats.max_preparing, 1);
+  EXPECT_TRUE(mc.queue_full());
+}
+
+TEST(DramAuditTest, PriorityEpochs) {
+  GpuConfig cfg;
+  MemoryController mc(cfg, 3);
+  run_audited(mc, cfg,
+              AuditedTraffic{.num_apps = 3,
+                             .enqueue_p = 0.6,
+                             .hit_p = 0.4,
+                             .priority_period = 700},
+              13);
+  for (AppId a = 0; a < 3; ++a) {
+    EXPECT_GT(mc.counters().priority_served.total(a), 0u) << "app " << a;
+  }
+  EXPECT_GT(mc.counters().nonpriority_served.grand_total(), 0u);
+}
+
+TEST(DramAuditTest, ThirtyTwoBanks) {
+  // Every bit of the 32-bit bank masks in use, including bit 31.
+  GpuConfig cfg;
+  cfg.banks_per_mc = 32;
+  MemoryController mc(cfg, 2);
+  const AuditedStats stats = run_audited(
+      mc, cfg, AuditedTraffic{.num_apps = 2, .enqueue_p = 0.5, .hit_p = 0.3},
+      14);
+  EXPECT_GT(stats.served, 0u);
+  EXPECT_GT(stats.max_preparing, 1);
+}
+
+TEST(DramAuditTest, QueuedRequestWaitsWhileItsBankPrepares) {
+  // The only queued request targets a preparing bank: no FR-FCFS
+  // candidate exists, so it stays queued until the prep finishes.
+  GpuConfig cfg;
+  MemoryController mc(cfg, 1);
+  std::vector<DramCmd> done;
+  mc.try_enqueue(cmd(0, 4, 1));
+  mc.cycle(0, done);
+  ASSERT_EQ(mc.preparing_banks(), 1);
+  mc.try_enqueue(cmd(0, 4, 2, 1));
+  Cycle issued_at = 0;
+  for (Cycle now = 1; issued_at == 0 && now < 1'000; ++now) {
+    mc.cycle(now, done);
+    ASSERT_EQ(mc.audit_bookkeeping(), "");
+    if (mc.queue_size() == 0) issued_at = now;
+  }
+  // The first prep finishes at cycle tRCD, which frees the bank for the
+  // second request's precharge + activate in the same cycle.
+  EXPECT_EQ(issued_at, cfg.t_rcd());
+  EXPECT_EQ(mc.preparing_banks(), 1);
+}
+
+TEST(DramAuditTest, RequestToAFreeBankIssuesPastOnesToPreparingBanks) {
+  // App 0's only queued request waits on preparing bank 0; app 1's targets
+  // free bank 5 and must issue — with no priority app (candidate banks are
+  // the union over apps) and with app 1 holding priority (its own banks).
+  for (const AppId priority : {kInvalidApp, AppId{1}}) {
+    SCOPED_TRACE("priority app " + std::to_string(priority));
+    GpuConfig cfg;
+    MemoryController mc(cfg, 2);
+    mc.set_priority_app(priority);
+    std::vector<DramCmd> done;
+    mc.try_enqueue(cmd(0, 0, 1));
+    mc.cycle(0, done);
+    ASSERT_EQ(mc.preparing_banks(), 1);
+    mc.try_enqueue(cmd(0, 0, 2, 1));
+    mc.try_enqueue(cmd(1, 5, 1, 1));
+    mc.cycle(1, done);
+    EXPECT_EQ(mc.audit_bookkeeping(), "");
+    EXPECT_EQ(mc.preparing_banks(), 2) << "bank 5 must start its prep";
+    EXPECT_EQ(mc.queue_size(), 1);
+  }
+}
+
+TEST(DramAuditTest, LoadRejectsPreparingCountThatDisagreesWithBankFlags) {
+  GpuConfig cfg;
+  MemoryController mc(cfg, 2);
+  run_audited(mc, cfg,
+              AuditedTraffic{.num_apps = 2, .enqueue_p = 0.5, .cycles = 3'000},
+              15);
+  StateWriter w;
+  mc.save(w);
+  std::vector<u8> bytes = w.bytes();
+  // Layout: "DRAM" tag, one record per bank, then the preparing count.
+  StateReader peek(bytes);
+  peek.expect_tag("DRAM");
+  for (int b = 0; b < cfg.banks_per_mc; ++b) {
+    peek.get_bool();
+    peek.get_u64();
+    peek.get_bool();
+    DramCmd pending;
+    read_item(peek, pending);
+    peek.get_u64();
+    peek.get_u64();
+  }
+  const std::size_t count_at = bytes.size() - peek.remaining();
+  const i32 count = peek.get_i32();
+  // Wrong but in range, so only the cross-check against the flags fails.
+  bytes[count_at] = static_cast<u8>(count > 0 ? count - 1 : count + 1);
+
+  {
+    // The unmodified bytes load cleanly.
+    MemoryController ok(cfg, 2);
+    StateReader r(w.bytes());
+    ok.load(r);
+    EXPECT_EQ(ok.audit_bookkeeping(), "");
+  }
+  MemoryController restored(cfg, 2);
+  StateReader r(bytes);
+  try {
+    restored.load(r);
+    FAIL() << "loaded a preparing-bank count that no bank flag backs";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimErrorKind::kSnapshot) << e.what();
+  }
+}
 
 }  // namespace
 }  // namespace gpusim

@@ -4,6 +4,7 @@
 
 #include <numeric>
 
+#include "common/sim_error.hpp"
 #include "kernels/app_registry.hpp"
 
 namespace gpusim {
@@ -93,6 +94,37 @@ TEST(SearchTest, FourAppSplitSumsToTotal) {
   EXPECT_EQ(std::accumulate(best.begin(), best.end(), 0), 16);
   // Most slowed app (r=0.3) must not lose SMs relative to the least.
   EXPECT_GE(best[0], best[3]);
+}
+
+// Release-safe input checks: each bad input raises a typed SimError in
+// every build type instead of reading out of bounds.
+
+TEST(SearchTest, RejectsEmptyReciprocals) {
+  try {
+    DaseFairPolicy::search_best_split({}, {}, 16, 1);
+    FAIL() << "searched a split over zero applications";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimErrorKind::kInvariant) << e.what();
+  }
+}
+
+TEST(SearchTest, RejectsReciprocalCountMismatch) {
+  // Two reciprocals but one SM count: the search would read assigned[1].
+  try {
+    DaseFairPolicy::search_best_split({0.5, 0.5}, {8}, 16, 1);
+    FAIL() << "searched with mismatched reciprocal and SM-count vectors";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimErrorKind::kInvariant) << e.what();
+  }
+}
+
+TEST(DaseFairPolicyTest, RejectsMissingModel) {
+  try {
+    DaseFairPolicy policy(nullptr);
+    FAIL() << "constructed DASE-Fair without a model";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimErrorKind::kHarness) << e.what();
+  }
 }
 
 TEST(EligibilityTest, ShortOrSmallKernelsAreExcluded) {

@@ -125,5 +125,46 @@ TEST(QosTest, RespectsMinimumShareForOthers) {
   EXPECT_LE(gpu.sms_assigned(0), 14);
 }
 
+// Release-safe input checks: each bad input raises a typed SimError in
+// every build type.
+
+TEST(QosTest, RejectsMissingModel) {
+  try {
+    DaseQosPolicy policy(nullptr, DaseQosOptions{});
+    FAIL() << "constructed DASE-QoS without a model";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimErrorKind::kHarness) << e.what();
+  }
+}
+
+TEST(QosTest, RejectsTargetSlowdownBelowOne) {
+  DaseModel model({}, 0);
+  try {
+    DaseQosPolicy policy(&model, DaseQosOptions{.target_slowdown = 0.5});
+    FAIL() << "accepted a target slowdown no application can undercut";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimErrorKind::kConfig) << e.what();
+  }
+}
+
+TEST(QosTest, RejectsQosAppOutsideTheCoRun) {
+  GpuConfig cfg;
+  Gpu gpu(cfg, {AppLaunch{*find_app("AA"), 42},
+                AppLaunch{*find_app("SD"), 43}});
+  gpu.set_partition(even_partition(16, 2));
+  gpu.run(1'000);
+  ASSERT_FALSE(gpu.migration_in_progress());
+  DaseModel model({}, 0);
+  DaseQosPolicy policy(&model, DaseQosOptions{.qos_app = 2,
+                                              .warmup_intervals = 0});
+  const IntervalSample s = gpu.end_interval();
+  try {
+    policy.on_interval(s, gpu);
+    FAIL() << "indexed estimates with a QoS app the co-run does not have";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimErrorKind::kConfig) << e.what();
+  }
+}
+
 }  // namespace
 }  // namespace gpusim
