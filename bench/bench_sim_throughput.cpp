@@ -5,8 +5,10 @@
 // a live DASE-Fair co-run with the policy governor on vs. off (the ≤2%
 // overhead contract from DESIGN.md §14), a co-run with the TelemetryHub
 // attached vs. absent (the ≤2% disabled-path contract from DESIGN.md §15),
-// and the wall-clock of a small checkpoint-free sweep run serially vs. on
-// the worker pool, then emits the numbers as a flat JSON object — the
+// the wall-clock of a small checkpoint-free sweep run serially vs. on
+// the worker pool, and the per-request cost of the L1 and L2 miss paths
+// replayed through a lone MSHR and cache (informational, not gated), then
+// emits the numbers as a flat JSON object — the
 // repo's BENCH_*.json perf baseline format.  tools/check_perf.sh runs
 // this binary and fails on cycles/sec regressions against the committed
 // BENCH_throughput.json (15% for the legacy keys, 10% for the contended
@@ -30,10 +32,14 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "cache/cache.hpp"
+#include "cache/mshr.hpp"
 #include "common/loop_profiler.hpp"
+#include "common/rng.hpp"
 #include "dase/dase_model.hpp"
 #include "gpu/simulator.hpp"
 #include "harness/runner.hpp"
@@ -283,6 +289,101 @@ double time_sweep(const RunConfig& rc, int pairs, int jobs) {
   return seconds_since(start);
 }
 
+struct MissPathResult {
+  double ns_per_req = 0.0;
+  u64 hits = 0;
+  u64 merges = 0;
+  u64 misses = 0;
+  u64 checksum = 0;
+};
+
+/// Per-request cost of one cache level's demand path, replayed through a
+/// lone MSHR and cache of that level's geometry the way SmCore (L1) and
+/// MemoryPartition (L2) drive them: one MSHR probe, then one set scan, a
+/// touch and, on a miss, an insert.  Each miss is filled and released
+/// 2 * mshr_entries requests later, or as soon as its slot is needed when
+/// the MSHR is full.  The fixed, seeded stream is 50% lines from a hot set
+/// of half the cache's capacity (mostly hits), 25% repeats of one of the
+/// last eight missed lines (merges while in flight, hits after) and 25%
+/// never-seen lines (misses).  Best of five passes over 2^20 requests.
+MissPathResult time_miss_path(int num_sets, int assoc, int line_bytes,
+                              int mshr_entries, u64 seed) {
+  constexpr int kRequests = 1 << 20;
+  const u64 hot_lines = static_cast<u64>(num_sets) * assoc / 2;
+  std::vector<u64> stream(kRequests);
+  {
+    Rng rng(seed);
+    u64 next_fresh = u64{1} << 30;
+    for (u64& addr : stream) {
+      const u64 roll = rng.next_below(4);
+      u64 line = 0;
+      if (roll < 2) {
+        line = rng.next_below(hot_lines);
+      } else if (roll == 2 && next_fresh > (u64{1} << 30)) {
+        const u64 back = std::min<u64>(next_fresh - (u64{1} << 30), 8);
+        line = next_fresh - 1 - rng.next_below(back);
+      } else {
+        line = next_fresh++;
+      }
+      addr = line * static_cast<u64>(line_bytes);
+    }
+  }
+
+  const int latency = 2 * mshr_entries;
+  MissPathResult best;
+  for (int pass = 0; pass < 5; ++pass) {
+    SetAssocCache cache(num_sets, assoc, line_bytes);
+    Mshr mshr(mshr_entries);
+    // In-flight misses in issue order: a ring of at most mshr_entries.
+    std::vector<u64> ring_addr(static_cast<std::size_t>(mshr_entries));
+    std::vector<int> ring_due(static_cast<std::size_t>(mshr_entries));
+    int head = 0;
+    int count = 0;
+    MissPathResult r;
+    auto retire_oldest = [&] {
+      const u64 addr = ring_addr[head];
+      cache.fill(addr, 0);
+      mshr.release(addr, [&](const MshrWaiter& w) {
+        r.checksum += static_cast<u64>(w.warp);
+      });
+      head = (head + 1) % mshr_entries;
+      --count;
+    };
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < kRequests; ++i) {
+      while (count > 0 && ring_due[head] <= i) retire_oldest();
+      const u64 addr = stream[i];
+      const MshrWaiter waiter{0, i & 63, i & 1};
+      Mshr::Probe p = mshr.probe(addr);
+      if (p.in_flight()) {
+        mshr.merge(p, waiter);
+        ++r.merges;
+        continue;
+      }
+      const int way = cache.find_way(addr);
+      cache.touch(way, waiter.app);
+      if (way != SetAssocCache::kNoWay) {
+        ++r.hits;
+        continue;
+      }
+      if (mshr.full()) {
+        retire_oldest();
+        p = mshr.probe(addr);  // the table changed; a stalled request re-probes
+      }
+      mshr.insert(p, addr, waiter);
+      const int tail = (head + count) % mshr_entries;
+      ring_addr[tail] = addr;
+      ring_due[tail] = i + latency;
+      ++count;
+      ++r.misses;
+    }
+    while (count > 0) retire_oldest();
+    r.ns_per_req = seconds_since(start) * 1e9 / kRequests;
+    if (pass == 0 || r.ns_per_req < best.ns_per_req) best = r;
+  }
+  return best;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -310,6 +411,13 @@ int main(int argc, char** argv) {
 
   const GovernedResult governed = time_governed_loop(loop_cycles);
   const TelemetryResult telemetry = time_telemetry_loop(cfg, loop_cycles);
+
+  const MissPathResult l1_path =
+      time_miss_path(cfg.l1_num_sets(), cfg.l1_assoc, cfg.line_bytes,
+                     cfg.l1_mshr_entries, 4001);
+  const MissPathResult l2_path =
+      time_miss_path(cfg.l2_num_sets(), cfg.l2_assoc, cfg.line_bytes,
+                     cfg.l2_mshr_entries, 4002);
 
   RunConfig rc;
   rc.co_run_cycles = cycles_from_env("BENCH_SWEEP_CYCLES", 60'000);
@@ -362,6 +470,10 @@ int main(int argc, char** argv) {
                telemetry.off_cycles_per_sec);
   std::fprintf(out, "\"telemetry_overhead_ratio\": %.4f,\n",
                telemetry.overhead_ratio);
+  std::fprintf(out, "\"miss_path_l1_ns_per_req\": %.2f,\n",
+               l1_path.ns_per_req);
+  std::fprintf(out, "\"miss_path_l2_ns_per_req\": %.2f,\n",
+               l2_path.ns_per_req);
   std::fprintf(out, "\"sweep_pairs\": %d,\n", sweep_pairs);
   std::fprintf(out, "\"sweep_corun_cycles\": %llu,\n",
                static_cast<unsigned long long>(rc.co_run_cycles));
@@ -394,6 +506,17 @@ int main(int argc, char** argv) {
       "%.0f without (best-pair ratio %.3f)\n",
       telemetry.on_cycles_per_sec, telemetry.off_cycles_per_sec,
       telemetry.overhead_ratio);
+  for (const auto& [level, path] :
+       {std::pair{"L1", &l1_path}, std::pair{"L2", &l2_path}}) {
+    const double n = static_cast<double>(path->hits + path->merges +
+                                         path->misses);
+    std::printf(
+        "%s miss path: %.2f ns/request (%.1f%% hits, %.1f%% merges, "
+        "%.1f%% misses; checksum %llu)\n",
+        level, path->ns_per_req, 100.0 * path->hits / n,
+        100.0 * path->merges / n, 100.0 * path->misses / n,
+        static_cast<unsigned long long>(path->checksum));
+  }
   if (parallel_meaningful) {
     std::printf("sweep %d pairs: %.3fs serial, %.3fs with %d jobs (%.2fx)\n",
                 sweep_pairs, serial_s, parallel_s, sweep_jobs,

@@ -1,124 +1,77 @@
 #include "cache/cache.hpp"
 
+#include <bit>
+
 #include "common/sim_error.hpp"
 
 namespace gpusim {
 
 SetAssocCache::SetAssocCache(int num_sets, int assoc, int line_bytes)
-    : num_sets_(num_sets), assoc_(assoc), line_bytes_(line_bytes) {
+    : num_sets_(num_sets), assoc_(assoc) {
   SIM_CHECK(num_sets_ > 0 && assoc_ > 0,
             SimError(SimErrorKind::kConfig, "cache.set_assoc",
                      "cache geometry must be positive")
                 .detail("num_sets", num_sets_)
                 .detail("assoc", assoc_));
-  SIM_CHECK(line_bytes_ > 0 && (line_bytes_ & (line_bytes_ - 1)) == 0,
+  SIM_CHECK(line_bytes > 0 && std::has_single_bit(static_cast<u32>(line_bytes)),
             SimError(SimErrorKind::kConfig, "cache.set_assoc",
                      "line size must be a power of two")
-                .detail("line_bytes", line_bytes_));
-  lines_.resize(static_cast<std::size_t>(num_sets_) * assoc_);
+                .detail("line_bytes", line_bytes));
+  line_shift_ = std::countr_zero(static_cast<u32>(line_bytes));
+  sets_pow2_ = std::has_single_bit(static_cast<u32>(num_sets_));
+  set_mask_ = static_cast<u64>(num_sets_) - 1;
+  const std::size_t lines = static_cast<std::size_t>(num_sets_) * assoc_;
+  tags_.resize(lines);
+  meta_.resize(lines);
 }
 
-bool SetAssocCache::lookup_touch(u64 addr, AppId app) {
-  ++stats_.accesses;
-  const u64 tag = line_addr(addr);
-  Line* begin = set_begin(set_index(addr));
-  ++tick_;
-  for (int w = 0; w < assoc_; ++w) {
-    Line& line = begin[w];
-    if (line.valid && line.tag == tag) {
-      line.lru_stamp = tick_;
-      line.app = app;
-      ++stats_.hits;
-      return true;
-    }
+int SetAssocCache::victim_way(int set) const {
+  const int first = set * assoc_;
+  int victim = first;
+  for (int w = first; w < first + assoc_; ++w) {
+    if (!meta_[w].valid) return w;
+    if (meta_[w].lru_stamp < meta_[victim].lru_stamp) victim = w;
   }
-  return false;
+  return victim;
+}
+
+CacheAccessResult SetAssocCache::install(int way, u64 tag, AppId app) {
+  Meta& m = meta_[way];
+  CacheAccessResult result;
+  if (m.valid) {
+    result.evicted = true;
+    result.victim_app = m.app;
+    ++stats_.evictions;
+    if (m.app != app) ++stats_.cross_app_evictions;
+  }
+  tags_[way] = tag;
+  m.valid = true;
+  m.app = app;
+  m.lru_stamp = tick_;
+  return result;
 }
 
 CacheAccessResult SetAssocCache::fill(u64 addr, AppId app) {
-  const u64 tag = line_addr(addr);
-  Line* begin = set_begin(set_index(addr));
   ++tick_;
-
-  Line* victim = nullptr;
-  for (int w = 0; w < assoc_; ++w) {
-    Line& line = begin[w];
-    if (line.valid && line.tag == tag) {
-      // Already present (e.g. refilled by a racing fill); just refresh.
-      line.lru_stamp = tick_;
-      line.app = app;
-      return {.hit = true};
-    }
-    if (!line.valid) {
-      if (victim == nullptr || victim->valid) victim = &line;
-    } else if (victim == nullptr ||
-               (victim->valid && line.lru_stamp < victim->lru_stamp)) {
-      victim = &line;
-    }
+  const int way = find_way(addr);
+  if (way != kNoWay) {
+    // Already present (e.g. refilled by a racing fill); just refresh.
+    meta_[way].lru_stamp = tick_;
+    meta_[way].app = app;
+    return {.hit = true};
   }
-  CacheAccessResult result;
-  if (victim->valid) {
-    result.evicted = true;
-    result.victim_app = victim->app;
-    ++stats_.evictions;
-    if (victim->app != app) ++stats_.cross_app_evictions;
-  }
-  victim->valid = true;
-  victim->tag = tag;
-  victim->app = app;
-  victim->lru_stamp = tick_;
-  return result;
+  return install(victim_way(set_index(addr)), line_addr(addr), app);
 }
 
 CacheAccessResult SetAssocCache::access(u64 addr, AppId app) {
-  ++stats_.accesses;
-  const u64 tag = line_addr(addr);
-  const int set = set_index(addr);
-  Line* begin = set_begin(set);
-  ++tick_;
-
-  Line* victim = nullptr;
-  for (int w = 0; w < assoc_; ++w) {
-    Line& line = begin[w];
-    if (line.valid && line.tag == tag) {
-      line.lru_stamp = tick_;
-      line.app = app;
-      ++stats_.hits;
-      return {.hit = true};
-    }
-    if (!line.valid) {
-      if (victim == nullptr || victim->valid) victim = &line;
-    } else if (victim == nullptr ||
-               (victim->valid && line.lru_stamp < victim->lru_stamp)) {
-      victim = &line;
-    }
-  }
-
-  CacheAccessResult result;
-  if (victim->valid) {
-    result.evicted = true;
-    result.victim_app = victim->app;
-    ++stats_.evictions;
-    if (victim->app != app) ++stats_.cross_app_evictions;
-  }
-  victim->valid = true;
-  victim->tag = tag;
-  victim->app = app;
-  victim->lru_stamp = tick_;
-  return result;
-}
-
-bool SetAssocCache::probe(u64 addr) const {
-  const u64 tag = line_addr(addr);
-  const Line* begin = set_begin(set_index(addr));
-  for (int w = 0; w < assoc_; ++w) {
-    if (begin[w].valid && begin[w].tag == tag) return true;
-  }
-  return false;
+  const int way = find_way(addr);
+  touch(way, app);
+  if (way != kNoWay) return {.hit = true};
+  return install(victim_way(set_index(addr)), line_addr(addr), app);
 }
 
 void SetAssocCache::clear() {
-  for (auto& line : lines_) line.valid = false;
+  for (Meta& m : meta_) m.valid = false;
   tick_ = 0;
   stats_ = {};
 }

@@ -7,7 +7,6 @@
 // counter and the ASM baseline's ATD correction both target.
 #pragma once
 
-#include <cassert>
 #include <vector>
 
 #include "common/simstate.hpp"
@@ -34,6 +33,9 @@ struct CacheStats {
 
 class SetAssocCache {
  public:
+  /// find_way() result for a line that is not present.
+  static constexpr int kNoWay = -1;
+
   /// `num_sets` and `assoc` define geometry; `line_bytes` must be pow2.
   SetAssocCache(int num_sets, int assoc, int line_bytes);
 
@@ -42,28 +44,52 @@ class SetAssocCache {
   /// the alone-cache contents must be updated immediately.
   CacheAccessResult access(u64 addr, AppId app);
 
-  /// Demand lookup used with fill-on-response: on hit, touches LRU and
-  /// returns true; on miss, records the miss but does NOT allocate (the
-  /// line is installed later via fill(), after the memory system responds).
-  bool lookup_touch(u64 addr, AppId app);
+  /// Scans the set of `addr` for a valid line holding it, without any state
+  /// change.  Returns that line's way (an opaque handle for touch()), or
+  /// kNoWay on a miss.
+  int find_way(u64 addr) const {
+    const u64 tag = line_addr(addr);
+    const int first = set_index(addr) * assoc_;
+    const u64* tags = tags_.data() + first;
+    for (int w = 0; w < assoc_; ++w) {
+      if (tags[w] == tag && meta_[first + w].valid) return first + w;
+    }
+    return kNoWay;
+  }
+
+  /// Demand access for a way find_way() just returned, for fill-on-response
+  /// caches: counts the access and, on a hit, makes the line MRU and owned
+  /// by `app` and counts the hit.  A miss (kNoWay) does NOT allocate — the
+  /// line is installed later via fill(), after the memory system responds.
+  void touch(int way, AppId app) {
+    ++stats_.accesses;
+    ++tick_;
+    if (way == kNoWay) return;
+    Meta& m = meta_[way];
+    m.lru_stamp = tick_;
+    m.app = app;
+    ++stats_.hits;
+  }
 
   /// Installs `addr` on response arrival.  Does not count as an access in
   /// stats (the demand lookup already did); evictions are still recorded.
   CacheAccessResult fill(u64 addr, AppId app);
 
   /// Lookup without any state change (used by tests and probes).
-  bool probe(u64 addr) const;
+  bool probe(u64 addr) const { return find_way(addr) != kNoWay; }
 
-  /// Invalidates every line (used between runs).
+  /// Invalidates every line (used between runs).  Invalidated lines keep
+  /// their stale tags, which the snapshot bytes carry.
   void clear();
 
   int num_sets() const { return num_sets_; }
   int assoc() const { return assoc_; }
   const CacheStats& stats() const { return stats_; }
 
-  u64 line_addr(u64 addr) const { return addr / line_bytes_; }
+  u64 line_addr(u64 addr) const { return addr >> line_shift_; }
   int set_index(u64 addr) const {
-    return static_cast<int>(line_addr(addr) % num_sets_);
+    const u64 line = line_addr(addr);
+    return static_cast<int>(sets_pow2_ ? line & set_mask_ : line % num_sets_);
   }
 
   // SimState: geometry is construction-time config; tags, LRU stamps and
@@ -72,11 +98,11 @@ class SetAssocCache {
   void write_state(Sink& s) const {
     s.put_tag("CACH");
     s.put_u64(tick_);
-    for (const Line& l : lines_) {
-      s.put_u64(l.tag);
-      s.put_u64(l.lru_stamp);
-      s.put_i32(l.app);
-      s.put_bool(l.valid);
+    for (std::size_t i = 0; i < tags_.size(); ++i) {
+      s.put_u64(tags_[i]);
+      s.put_u64(meta_[i].lru_stamp);
+      s.put_i32(meta_[i].app);
+      s.put_bool(meta_[i].valid);
     }
     s.put_u64(stats_.accesses);
     s.put_u64(stats_.hits);
@@ -88,11 +114,11 @@ class SetAssocCache {
   void load(StateReader& r) {
     r.expect_tag("CACH");
     tick_ = r.get_u64();
-    for (Line& l : lines_) {
-      l.tag = r.get_u64();
-      l.lru_stamp = r.get_u64();
-      l.app = r.get_i32();
-      l.valid = r.get_bool();
+    for (std::size_t i = 0; i < tags_.size(); ++i) {
+      tags_[i] = r.get_u64();
+      meta_[i].lru_stamp = r.get_u64();
+      meta_[i].app = r.get_i32();
+      meta_[i].valid = r.get_bool();
     }
     stats_.accesses = r.get_u64();
     stats_.hits = r.get_u64();
@@ -101,22 +127,31 @@ class SetAssocCache {
   }
 
  private:
-  struct Line {
-    u64 tag = 0;
+  /// Per-line state other than the tag.  Tags live in their own array so a
+  /// set scan reads one contiguous run of `assoc_` tags.
+  struct Meta {
     u64 lru_stamp = 0;
     AppId app = kInvalidApp;
     bool valid = false;
   };
 
+  /// Way to replace in `set` for a line that is not present: the first
+  /// invalid way, else the least recently used one.
+  int victim_way(int set) const;
+  /// Installs `tag` for `app` in `way` (a victim_way() result), recording
+  /// the eviction it causes.
+  CacheAccessResult install(int way, u64 tag, AppId app);
+
   int num_sets_;
   int assoc_;
-  int line_bytes_;
+  int line_shift_;
+  bool sets_pow2_;
+  u64 set_mask_;
   u64 tick_ = 0;
-  std::vector<Line> lines_;  // num_sets_ * assoc_, row-major by set
+  // num_sets_ * assoc_ lines, row-major by set.
+  std::vector<u64> tags_;
+  std::vector<Meta> meta_;
   CacheStats stats_;
-
-  Line* set_begin(int set) { return lines_.data() + set * assoc_; }
-  const Line* set_begin(int set) const { return lines_.data() + set * assoc_; }
 };
 
 }  // namespace gpusim

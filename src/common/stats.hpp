@@ -4,22 +4,29 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <cmath>
 #include <string>
 #include <vector>
 
+#include "common/sim_error.hpp"
 #include "common/simstate.hpp"
 #include "common/types.hpp"
 
 namespace gpusim {
+
+/// Raises the kInvariant error for an application index outside
+/// [0, kMaxApps).  Out of line, so PerAppCounter::add stays a compare and a
+/// branch on the hot path.
+[[noreturn]] void throw_app_index_out_of_range(AppId app);
 
 /// One u64 counter per application slot, with "value since last snapshot"
 /// interval semantics used by the 50K-cycle estimation intervals.
 class PerAppCounter {
  public:
   void add(AppId app, u64 delta = 1) {
-    assert(app >= 0 && app < kMaxApps);
+    if (static_cast<u32>(app) >= static_cast<u32>(kMaxApps)) [[unlikely]] {
+      throw_app_index_out_of_range(app);
+    }
     total_[app] += delta;
   }
   u64 total(AppId app) const { return total_[app]; }
@@ -89,12 +96,20 @@ class RunningMean {
 class Histogram {
  public:
   Histogram(double bucket_width, int num_buckets)
-      : bucket_width_(bucket_width), counts_(num_buckets + 1, 0) {
-    assert(bucket_width > 0.0 && num_buckets > 0);
+      : bucket_width_(bucket_width) {
+    SIM_CHECK(bucket_width > 0.0 && num_buckets > 0,
+              SimError(SimErrorKind::kConfig, "common.stats",
+                       "histogram needs a positive bucket width and count")
+                  .detail("bucket_width", bucket_width)
+                  .detail("num_buckets", num_buckets));
+    counts_.assign(static_cast<std::size_t>(num_buckets) + 1, 0);
   }
 
+  /// `value` must be non-negative; NaN is rejected too.
   void add(double value) {
-    assert(value >= 0.0);
+    SIM_CHECK(value >= 0.0, SimError(SimErrorKind::kInvariant, "common.stats",
+                                     "negative or NaN histogram sample")
+                                .detail("value", value));
     auto bucket = static_cast<std::size_t>(value / bucket_width_);
     bucket = std::min(bucket, counts_.size() - 1);
     ++counts_[bucket];

@@ -1,10 +1,10 @@
 #include "kernels/workload_sets.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <set>
 
 #include "common/rng.hpp"
+#include "common/sim_error.hpp"
 #include "kernels/app_registry.hpp"
 
 namespace gpusim {
@@ -32,7 +32,16 @@ std::vector<Workload> all_two_app_workloads() {
 std::vector<Workload> random_four_app_workloads(int count, u64 seed) {
   const auto& apps = app_registry();
   const int n = static_cast<int>(apps.size());
-  assert(n >= 4);
+  // The draw below loops until it has `count` distinct quads, so asking for
+  // more than C(n, 4) would never return.
+  const long long quads = static_cast<long long>(n) * (n - 1) * (n - 2) *
+                          (n - 3) / 24;
+  SIM_CHECK(count <= quads,
+            SimError(SimErrorKind::kConfig, "kernels.workload_sets",
+                     "more distinct four-app workloads requested than exist")
+                .detail("count", count)
+                .detail("apps", n)
+                .detail("distinct_quads", quads));
   Rng rng(seed);
   std::set<std::vector<int>> seen;
   std::vector<Workload> out;

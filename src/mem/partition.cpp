@@ -79,7 +79,7 @@ void MemoryPartition::cycle(Cycle now,
                         done.line_addr, fill_line);
     }
     l2_.fill(fill_line, done.app);
-    for (const MshrWaiter& w : mshr_.release(fill_line)) {
+    mshr_.release(fill_line, [&](const MshrWaiter& w) {
       MemResponsePacket resp;
       resp.line_addr = fill_line;
       resp.app = w.app;
@@ -87,7 +87,7 @@ void MemoryPartition::cycle(Cycle now,
       resp.warp = w.warp;
       resp.ready = now + cfg_.l2_miss_extra_latency;
       push_response(resp, now);
-    }
+    });
   }
 
   // 2. Matured L2 hits become responses; a full response queue
@@ -134,25 +134,39 @@ void MemoryPartition::cycle(Cycle now,
     const MemRequestPacket& req = in_queue.front();
     const u64 line = req.line_addr;
 
-    if (mshr_.contains(line)) {
-      // Merge into the in-flight miss; no new DRAM request, no ATD change
-      // (the primary miss already updated the alone-model).
-      note_access(req.app);
-      if (taps_ != nullptr) taps_->requests_consumed.add(req.app);
-      mshr_.allocate(line, {req.sm, req.warp, req.app});
-      in_queue.pop();
-      continue;
+    // A head that stalled on a miss is still a miss (see blocked_miss_), so
+    // while it waits only the resources it needs are re-checked.
+    const bool known_miss = blocked_miss_ == line;
+    Mshr::Probe in_flight;
+    int way = SetAssocCache::kNoWay;
+    if (!known_miss) {
+      in_flight = mshr_.probe(line);
+      if (in_flight.in_flight()) {
+        // Merge into the in-flight miss; no new DRAM request, no ATD change
+        // (the primary miss already updated the alone-model).
+        note_access(req.app);
+        if (taps_ != nullptr) taps_->requests_consumed.add(req.app);
+        mshr_.merge(in_flight, {req.sm, req.warp, req.app});
+        in_queue.pop();
+        continue;
+      }
+      way = l2_.find_way(line);
     }
 
-    const bool hit = l2_.probe(line);
-    if (!hit) {
+    if (way == SetAssocCache::kNoWay) {
       // Need both an MSHR slot and a bank-queue slot before consuming.
+      if (mshr_.full() || mc_.queue_full()) {
+        blocked_miss_ = line;
+        break;
+      }
+      blocked_miss_.reset();
+      // Fills while the head waited may have moved index slots.
+      if (known_miss) in_flight = mshr_.probe(line);
       const DramCoordinates coords = address_map_.decode(line);
-      if (mshr_.full() || mc_.queue_full()) break;
 
       note_access(req.app);
       if (taps_ != nullptr) taps_->requests_consumed.add(req.app);
-      l2_.lookup_touch(line, req.app);  // records the miss
+      l2_.touch(way, req.app);  // records the miss
       // DASE Eq. 13 contention-miss detection: an L2 miss that hits in the
       // application's private (alone-model) tag directory means the line
       // was evicted by a co-runner.
@@ -163,7 +177,7 @@ void MemoryPartition::cycle(Cycle now,
           counters_.atd_extra_miss_samples.add(req.app);
         }
       }
-      mshr_.allocate(line, {req.sm, req.warp, req.app});
+      mshr_.insert(in_flight, line, {req.sm, req.warp, req.app});
       DramCmd cmd;
       cmd.line_addr = line;
       cmd.app = req.app;
@@ -186,7 +200,7 @@ void MemoryPartition::cycle(Cycle now,
     note_access(req.app);
     if (taps_ != nullptr) taps_->requests_consumed.add(req.app);
     counters_.l2_hits.add(req.app);
-    l2_.lookup_touch(line, req.app);
+    l2_.touch(way, req.app);
     SampledAtd& atd = *atds_[req.app];
     if (atd.is_sampled(line)) atd.access(line);
 

@@ -8,6 +8,7 @@
 #include <array>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "cache/atd.hpp"
@@ -175,6 +176,7 @@ class MemoryPartition {
   void hash(Hasher& h) const { write_state(h); }
   void load(StateReader& r) {
     r.expect_tag("PART");
+    blocked_miss_.reset();
     l2_.load(r);
     mshr_.load(r);
     for (auto& atd : atds_) atd->load(r);
@@ -202,6 +204,12 @@ class MemoryPartition {
   AddressMap address_map_;
   SetAssocCache l2_;
   Mshr mshr_;
+  /// Line of the request-queue head that missed both mshr_ and l2_ and
+  /// stalled for an MSHR entry or a DRAM queue slot.  It stays a miss while
+  /// it waits: only the demand stage inserts into mshr_, and a fill only
+  /// installs a line that had an entry.  Derived state, not saved: load()
+  /// drops it, and re-probing gives the same answer.
+  std::optional<u64> blocked_miss_;
   std::vector<std::unique_ptr<SampledAtd>> atds_;
   MemoryController mc_;
 

@@ -3,21 +3,41 @@
 #include <algorithm>
 #include <limits>
 
+#include "common/sim_error.hpp"
+
 namespace gpusim {
 
+namespace {
+
+void check_not_empty(std::span<const double> slowdowns, const char* metric) {
+  SIM_CHECK(!slowdowns.empty(),
+            SimError(SimErrorKind::kInvariant, "metrics",
+                     "fairness metric of an empty slowdown list")
+                .detail("metric", metric));
+}
+
+void check_positive(double slowdown, const char* metric) {
+  SIM_CHECK(slowdown > 0.0, SimError(SimErrorKind::kInvariant, "metrics",
+                                     "slowdown must be positive")
+                                .detail("metric", metric)
+                                .detail("slowdown", slowdown));
+}
+
+}  // namespace
+
 double unfairness(std::span<const double> slowdowns) {
-  assert(!slowdowns.empty());
+  check_not_empty(slowdowns, "unfairness");
   const auto [lo, hi] =
       std::minmax_element(slowdowns.begin(), slowdowns.end());
-  assert(*lo > 0.0);
+  check_positive(*lo, "unfairness");
   return *hi / *lo;
 }
 
 double harmonic_speedup(std::span<const double> slowdowns) {
-  assert(!slowdowns.empty());
+  check_not_empty(slowdowns, "harmonic_speedup");
   double sum = 0.0;
   for (double s : slowdowns) {
-    assert(s > 0.0);
+    check_positive(s, "harmonic_speedup");
     sum += s;
   }
   return static_cast<double>(slowdowns.size()) / sum;

@@ -1,7 +1,6 @@
 // Evaluation metrics (paper Eq. 1, 2, 26, 27).
 #pragma once
 
-#include <cassert>
 #include <cmath>
 #include <span>
 #include <vector>
@@ -9,6 +8,8 @@
 namespace gpusim {
 
 /// Eq. 2: Unfairness = MAX(slowdown_i) / MIN(slowdown_i); 1.0 is ideal.
+/// Both metrics raise SimError(kInvariant) for an empty list or a
+/// non-positive slowdown.
 double unfairness(std::span<const double> slowdowns);
 
 /// Eq. 27: Harmonic speedup = N / Σ (IPC_alone / IPC_shared)

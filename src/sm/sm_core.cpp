@@ -62,6 +62,7 @@ void SmCore::release() {
   active_blocks_ = 0;
   l1_.clear();
   l1_mshr_.clear();
+  blocked_miss_.reset();
   retries_.clear();
   dup_expect_.clear();
   next_retry_deadline_ = kNeverCycle;
@@ -143,24 +144,38 @@ void SmCore::dispatch_pending(Cycle now) {
     const PendingTxn txn = pending_txns_.front();
     const u64 line = txn.addr;
 
-    if (l1_mshr_.contains(line)) {
-      counters_.l1_accesses.add();
-      l1_mshr_.allocate(line, {id_, txn.warp, app()});
-      pending_txns_.pop_front();
-      continue;
+    // A head that stalled on a miss is still a miss (see blocked_miss_), so
+    // while it waits only the resources it needs are re-checked.
+    const bool known_miss = blocked_miss_ == line;
+    Mshr::Probe in_flight;
+    if (!known_miss) {
+      in_flight = l1_mshr_.probe(line);
+      if (in_flight.in_flight()) {
+        counters_.l1_accesses.add();
+        l1_mshr_.merge(in_flight, {id_, txn.warp, app()});
+        pending_txns_.pop_front();
+        continue;
+      }
+      const int way = l1_.find_way(line);
+      if (way != SetAssocCache::kNoWay) {
+        counters_.l1_accesses.add();
+        l1_.touch(way, app());
+        counters_.l1_hits.add();
+        local_hits_.emplace_back(now + cfg_.l1_hit_latency, txn.warp);
+        pending_txns_.pop_front();
+        continue;
+      }
     }
-    if (l1_.probe(line)) {
-      counters_.l1_accesses.add();
-      l1_.lookup_touch(line, app());
-      counters_.l1_hits.add();
-      local_hits_.emplace_back(now + cfg_.l1_hit_latency, txn.warp);
-      pending_txns_.pop_front();
-      continue;
+    if (l1_mshr_.full() || out_queue_.full()) {
+      blocked_miss_ = line;
+      break;  // retry next cycle
     }
-    if (l1_mshr_.full() || out_queue_.full()) break;  // retry next cycle
+    blocked_miss_.reset();
+    // Releases while the head waited may have moved index slots.
+    if (known_miss) in_flight = l1_mshr_.probe(line);
     counters_.l1_accesses.add();
-    l1_.lookup_touch(line, app());  // records the L1 miss
-    l1_mshr_.allocate(line, {id_, txn.warp, app()});
+    l1_.touch(SetAssocCache::kNoWay, app());  // records the L1 miss
+    l1_mshr_.insert(in_flight, line, {id_, txn.warp, app()});
     MemRequestPacket pkt;
     pkt.line_addr = line;
     pkt.app = app();
@@ -442,6 +457,7 @@ void SmCore::load(StateReader& r, BlockSource* source) {
                   .detail("warp_contexts", warps_.size()));
   };
   pending_txns_.clear();
+  blocked_miss_.reset();
   const u64 txns = r.get_count(1u << 20, "sm pending txns");
   for (u64 i = 0; i < txns; ++i) {
     PendingTxn t{};
@@ -505,9 +521,8 @@ void SmCore::receive(const MemResponsePacket& resp) {
     }
   }
   l1_.fill(resp.line_addr, resp.app);
-  for (const MshrWaiter& w : l1_mshr_.release(resp.line_addr)) {
-    complete_txn(w.warp);
-  }
+  l1_mshr_.release(resp.line_addr,
+                   [&](const MshrWaiter& w) { complete_txn(w.warp); });
   if (cfg_.mshr_retry_enabled) {
     const auto it = retries_.find(resp.line_addr);
     if (it != retries_.end()) {

@@ -394,6 +394,12 @@ class SmCore {
   SetAssocCache l1_;
   Mshr l1_mshr_;
   BoundedQueue<MemRequestPacket> out_queue_;
+  /// Line of the pending-transaction head that missed both l1_mshr_ and l1_
+  /// and stalled for an MSHR entry or an out-queue slot.  It stays a miss
+  /// while it waits: only dispatch_pending inserts into l1_mshr_, and a fill
+  /// only installs a line that had an entry.  Derived state, not saved:
+  /// load() and release() drop it, and re-probing gives the same answer.
+  std::optional<u64> blocked_miss_;
 
   WarpId last_issued_ = -1;
   // Warp-state bitmasks, updated at every state transition so the issue

@@ -67,7 +67,9 @@ TEST(CacheTest, ProbeDoesNotDisturbState) {
 TEST(CacheTest, LookupTouchDoesNotAllocate) {
   SetAssocCache c(4, 2, kLine);
   const u64 a = addr_of(0, 5, 4);
-  EXPECT_FALSE(c.lookup_touch(a, 0));
+  const int way = c.find_way(a);
+  EXPECT_EQ(way, SetAssocCache::kNoWay);
+  c.touch(way, 0);
   EXPECT_FALSE(c.probe(a)) << "miss must not allocate";
   EXPECT_EQ(c.stats().accesses, 1u);
   EXPECT_EQ(c.stats().hits, 0u);
@@ -92,8 +94,8 @@ TEST(CacheTest, LookupTouchRefreshesLru) {
   const u64 d = addr_of(0, 3, 1);
   c.fill(a, 0);
   c.fill(b, 0);
-  c.lookup_touch(a, 0);  // a MRU
-  c.fill(d, 0);          // evicts b
+  c.touch(c.find_way(a), 0);  // a MRU
+  c.fill(d, 0);               // evicts b
   EXPECT_TRUE(c.probe(a));
   EXPECT_FALSE(c.probe(b));
 }
@@ -168,6 +170,224 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 4, 32, 128),
                        ::testing::Values(1, 2, 4, 8),
                        ::testing::Values(1u, 99u)));
+
+// ---------------------------------------------------------------------------
+// Differential test: the split-tag cache against a verbatim copy of the
+// array-of-lines cache it replaced (division for the line address, modulo
+// for every set index, one combined scan per fill/access, and a probe then
+// lookup_touch pair for every demand access).  Results, victims, stats,
+// LRU ticks and snapshot bytes must agree after every call.
+// ---------------------------------------------------------------------------
+
+class LegacyCache {
+ public:
+  LegacyCache(int num_sets, int assoc, int line_bytes)
+      : num_sets_(num_sets), assoc_(assoc), line_bytes_(line_bytes),
+        lines_(static_cast<std::size_t>(num_sets) * assoc) {}
+
+  CacheAccessResult access(u64 addr, AppId app) {
+    ++stats_.accesses;
+    const u64 tag = line_addr(addr);
+    Line* begin = set_begin(set_index(addr));
+    ++tick_;
+    Line* victim = nullptr;
+    for (int w = 0; w < assoc_; ++w) {
+      Line& line = begin[w];
+      if (line.valid && line.tag == tag) {
+        line.lru_stamp = tick_;
+        line.app = app;
+        ++stats_.hits;
+        return {.hit = true};
+      }
+      if (!line.valid) {
+        if (victim == nullptr || victim->valid) victim = &line;
+      } else if (victim == nullptr ||
+                 (victim->valid && line.lru_stamp < victim->lru_stamp)) {
+        victim = &line;
+      }
+    }
+    return install(victim, tag, app);
+  }
+
+  bool lookup_touch(u64 addr, AppId app) {
+    ++stats_.accesses;
+    const u64 tag = line_addr(addr);
+    Line* begin = set_begin(set_index(addr));
+    ++tick_;
+    for (int w = 0; w < assoc_; ++w) {
+      Line& line = begin[w];
+      if (line.valid && line.tag == tag) {
+        line.lru_stamp = tick_;
+        line.app = app;
+        ++stats_.hits;
+        return true;
+      }
+    }
+    return false;
+  }
+
+  CacheAccessResult fill(u64 addr, AppId app) {
+    const u64 tag = line_addr(addr);
+    Line* begin = set_begin(set_index(addr));
+    ++tick_;
+    Line* victim = nullptr;
+    for (int w = 0; w < assoc_; ++w) {
+      Line& line = begin[w];
+      if (line.valid && line.tag == tag) {
+        line.lru_stamp = tick_;
+        line.app = app;
+        return {.hit = true};
+      }
+      if (!line.valid) {
+        if (victim == nullptr || victim->valid) victim = &line;
+      } else if (victim == nullptr ||
+                 (victim->valid && line.lru_stamp < victim->lru_stamp)) {
+        victim = &line;
+      }
+    }
+    return install(victim, tag, app);
+  }
+
+  bool probe(u64 addr) const {
+    const u64 tag = line_addr(addr);
+    const Line* begin = lines_.data() + set_index(addr) * assoc_;
+    for (int w = 0; w < assoc_; ++w) {
+      if (begin[w].valid && begin[w].tag == tag) return true;
+    }
+    return false;
+  }
+
+  void clear() {
+    for (auto& line : lines_) line.valid = false;
+    tick_ = 0;
+    stats_ = {};
+  }
+
+  const CacheStats& stats() const { return stats_; }
+
+  template <typename Sink>
+  void write_state(Sink& s) const {
+    s.put_tag("CACH");
+    s.put_u64(tick_);
+    for (const Line& l : lines_) {
+      s.put_u64(l.tag);
+      s.put_u64(l.lru_stamp);
+      s.put_i32(l.app);
+      s.put_bool(l.valid);
+    }
+    s.put_u64(stats_.accesses);
+    s.put_u64(stats_.hits);
+    s.put_u64(stats_.evictions);
+    s.put_u64(stats_.cross_app_evictions);
+  }
+
+ private:
+  struct Line {
+    u64 tag = 0;
+    u64 lru_stamp = 0;
+    AppId app = kInvalidApp;
+    bool valid = false;
+  };
+
+  u64 line_addr(u64 addr) const { return addr / line_bytes_; }
+  int set_index(u64 addr) const {
+    return static_cast<int>(line_addr(addr) % num_sets_);
+  }
+  Line* set_begin(int set) { return lines_.data() + set * assoc_; }
+
+  CacheAccessResult install(Line* victim, u64 tag, AppId app) {
+    CacheAccessResult result;
+    if (victim->valid) {
+      result.evicted = true;
+      result.victim_app = victim->app;
+      ++stats_.evictions;
+      if (victim->app != app) ++stats_.cross_app_evictions;
+    }
+    victim->valid = true;
+    victim->tag = tag;
+    victim->app = app;
+    victim->lru_stamp = tick_;
+    return result;
+  }
+
+  int num_sets_;
+  int assoc_;
+  int line_bytes_;
+  u64 tick_ = 0;
+  std::vector<Line> lines_;
+  CacheStats stats_;
+};
+
+void expect_same_result(const CacheAccessResult& got,
+                        const CacheAccessResult& want) {
+  ASSERT_EQ(got.hit, want.hit);
+  ASSERT_EQ(got.evicted, want.evicted);
+  ASSERT_EQ(got.victim_app, want.victim_app);
+}
+
+void expect_same_state(const SetAssocCache& got, const LegacyCache& want) {
+  ASSERT_EQ(got.stats().accesses, want.stats().accesses);
+  ASSERT_EQ(got.stats().hits, want.stats().hits);
+  ASSERT_EQ(got.stats().evictions, want.stats().evictions);
+  ASSERT_EQ(got.stats().cross_app_evictions, want.stats().cross_app_evictions);
+  StateWriter got_bytes, want_bytes;
+  got.save(got_bytes);
+  want.write_state(want_bytes);
+  ASSERT_EQ(got_bytes.bytes(), want_bytes.bytes());
+}
+
+class CacheDifferentialTest
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(CacheDifferentialTest, MatchesLegacyCache) {
+  const auto [num_sets, assoc] = GetParam();
+  SetAssocCache cache(num_sets, assoc, kLine);
+  LegacyCache legacy(num_sets, assoc, kLine);
+  Rng rng(static_cast<u64>(num_sets) * 131 + static_cast<u64>(assoc));
+  // Twice the capacity in distinct lines, so hits, misses and evictions all
+  // occur; byte offsets inside a line must not matter.
+  const u64 distinct_lines = static_cast<u64>(num_sets) * assoc * 2;
+  const int kOps = 3000;
+  for (int i = 0; i < kOps; ++i) {
+    SCOPED_TRACE(testing::Message() << "op " << i);
+    const u64 addr = rng.next_below(distinct_lines) * kLine +
+                     rng.next_below(kLine);
+    const AppId app = static_cast<AppId>(rng.next_below(3));
+    const u64 roll = rng.next_below(100);
+    if (i == kOps / 2) {
+      cache.clear();
+      legacy.clear();
+    } else if (roll < 40) {
+      // Demand access: one scan, then the touch it found.
+      const bool want_hit = legacy.probe(addr);
+      ASSERT_EQ(legacy.lookup_touch(addr, app), want_hit);
+      const int way = cache.find_way(addr);
+      ASSERT_EQ(way != SetAssocCache::kNoWay, want_hit);
+      cache.touch(way, app);
+    } else if (roll < 75) {
+      expect_same_result(cache.fill(addr, app), legacy.fill(addr, app));
+    } else if (roll < 95) {
+      expect_same_result(cache.access(addr, app), legacy.access(addr, app));
+    } else {
+      ASSERT_EQ(cache.probe(addr), legacy.probe(addr));
+    }
+    expect_same_state(cache, legacy);
+    if (HasFatalFailure()) return;
+  }
+  // A snapshot taken from the new layout restores into it unchanged.
+  StateWriter saved;
+  cache.save(saved);
+  SetAssocCache restored(num_sets, assoc, kLine);
+  StateReader r(saved.bytes());
+  restored.load(r);
+  EXPECT_TRUE(r.exhausted());
+  expect_same_state(restored, legacy);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheDifferentialTest,
+    ::testing::Combine(::testing::Values(1, 3, 32, 96, 128),
+                       ::testing::Values(1, 2, 4, 8, 16)));
 
 }  // namespace
 }  // namespace gpusim

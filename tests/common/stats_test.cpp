@@ -2,8 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace gpusim {
 namespace {
+
+template <typename Fn>
+SimErrorKind error_kind_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const SimError& e) {
+    return e.kind();
+  }
+  ADD_FAILURE() << "expected a SimError";
+  return SimErrorKind::kHarness;
+}
 
 TEST(PerAppCounterTest, TotalsAccumulate) {
   PerAppCounter c;
@@ -81,6 +94,31 @@ TEST(HistogramTest, EmptyHistogramFractions) {
   Histogram h(0.1, 5);
   EXPECT_DOUBLE_EQ(h.fraction(0), 0.0);
   EXPECT_DOUBLE_EQ(h.fraction_below(0.3), 0.0);
+}
+
+// Failing inputs: these stay checked in optimized builds.
+
+TEST(PerAppCounterTest, OutOfRangeAppIndexIsRejected) {
+  PerAppCounter c;
+  EXPECT_EQ(error_kind_of([&] { c.add(kMaxApps); }), SimErrorKind::kInvariant);
+  EXPECT_EQ(error_kind_of([&] { c.add(kInvalidApp); }),
+            SimErrorKind::kInvariant);
+  EXPECT_EQ(c.grand_total(), 0u) << "a rejected add must not write";
+}
+
+TEST(HistogramTest, NonPositiveGeometryIsRejected) {
+  EXPECT_EQ(error_kind_of([] { Histogram h(0.0, 5); }),
+            SimErrorKind::kConfig);
+  EXPECT_EQ(error_kind_of([] { Histogram h(0.1, 0); }),
+            SimErrorKind::kConfig);
+}
+
+TEST(HistogramTest, NegativeOrNanSampleIsRejected) {
+  Histogram h(0.1, 5);
+  EXPECT_EQ(error_kind_of([&] { h.add(-0.5); }), SimErrorKind::kInvariant);
+  EXPECT_EQ(error_kind_of([&] { h.add(std::nan("")); }),
+            SimErrorKind::kInvariant);
+  EXPECT_EQ(h.total(), 0u);
 }
 
 }  // namespace

@@ -126,5 +126,59 @@ TEST(GoldenOutput, WideMemoryGeometryEngineOff) {
   expect_golden(*sim, kSdSaWideMemory);
 }
 
+// Starved miss path: four L1 and eight L2 MSHRs force rejects and merges at
+// both levels, a reissue timeout below the unloaded miss latency races
+// retries against originals (so duplicate responses are absorbed), and a 96 KB L2 slice gives 96 sets, a
+// set count that is not a power of two.  Recorded from the hash-map MSHR and
+// the two-scan tag lookups; both cycle paths must agree.
+GpuConfig starved_miss_path_config() {
+  GpuConfig cfg;
+  cfg.l1_mshr_entries = 4;
+  cfg.l2_mshr_entries = 8;
+  cfg.mshr_retry_enabled = true;
+  cfg.mshr_retry_timeout = 200;
+  cfg.l2_partition_bytes = 96 * 1024;
+  return cfg;
+}
+
+constexpr Golden kSdSaStarvedMissPath{2026942722070046022u,
+                                      10732567575474625959u, 275017, 4699,
+                                      10003};
+
+TEST(GoldenOutput, StarvedMissPathEngineOn) {
+  auto sim = make_pair(starved_miss_path_config(), *find_app("SD"),
+                       *find_app("SA"), true);
+  sim->run(kCycles);
+  expect_golden(*sim, kSdSaStarvedMissPath);
+}
+
+TEST(GoldenOutput, StarvedMissPathEngineOff) {
+  auto sim = make_pair(starved_miss_path_config(), *find_app("SD"),
+                       *find_app("SA"), false);
+  sim->run(kCycles);
+  expect_golden(*sim, kSdSaStarvedMissPath);
+}
+
+// Restored mid-run while many requests are stalled on full MSHRs: the
+// remembered stalled misses are not snapshot state, so a restore must drop
+// the ones the simulation built up after the snapshot, and both a fresh and
+// a reused simulation must land on the pinned state.
+TEST(GoldenOutput, StarvedMissPathResumedFromSnapshot) {
+  auto sim = make_pair(starved_miss_path_config(), *find_app("SD"),
+                       *find_app("SA"), true);
+  sim->run(kCycles / 2);
+  const std::vector<u8> bytes = sim->snapshot();
+  sim->run(kCycles / 4);
+  sim->restore(bytes);
+  sim->run(kCycles - kCycles / 2);
+  expect_golden(*sim, kSdSaStarvedMissPath);
+
+  auto fresh = make_pair(starved_miss_path_config(), *find_app("SD"),
+                         *find_app("SA"), true);
+  fresh->restore(bytes);
+  fresh->run(kCycles - kCycles / 2);
+  expect_golden(*fresh, kSdSaStarvedMissPath);
+}
+
 }  // namespace
 }  // namespace gpusim

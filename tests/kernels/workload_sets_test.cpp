@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <set>
 
+#include "common/sim_error.hpp"
+
 namespace gpusim {
 namespace {
 
@@ -74,6 +76,17 @@ TEST(WorkloadSetsTest, RandomPairsDistinctAndBounded) {
   }
   // Requesting more than C(15,2) caps at 105.
   EXPECT_EQ(random_two_app_workloads(1000, 7).size(), 105u);
+}
+
+TEST(WorkloadSetsTest, MoreQuadsThanExistAreRejected) {
+  // C(15, 4) = 1365 distinct quads; asking for one more used to loop forever.
+  EXPECT_EQ(random_four_app_workloads(1365, 3).size(), 1365u);
+  try {
+    random_four_app_workloads(1366, 3);
+    ADD_FAILURE() << "expected a SimError";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimErrorKind::kConfig) << e.what();
+  }
 }
 
 }  // namespace

@@ -6,8 +6,21 @@
 #include <cmath>
 #include <limits>
 
+#include "common/sim_error.hpp"
+
 namespace gpusim {
 namespace {
+
+template <typename Fn>
+SimErrorKind error_kind_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const SimError& e) {
+    return e.kind();
+  }
+  ADD_FAILURE() << "expected a SimError";
+  return SimErrorKind::kHarness;
+}
 
 TEST(MetricsTest, UnfairnessMaxOverMin) {
   const std::array<double, 2> even = {2.0, 2.0};
@@ -84,6 +97,28 @@ TEST(MetricsTest, UnfairnessIsScaleInvariant) {
   const std::array<double, 3> a = {1.5, 2.0, 3.0};
   const std::array<double, 3> b = {3.0, 4.0, 6.0};
   EXPECT_DOUBLE_EQ(unfairness(a), unfairness(b));
+}
+
+// Failing inputs: these stay checked in optimized builds.
+
+TEST(MetricsTest, UnfairnessOfEmptyListIsRejected) {
+  EXPECT_EQ(error_kind_of([] { unfairness({}); }), SimErrorKind::kInvariant);
+}
+
+TEST(MetricsTest, UnfairnessOfNonPositiveSlowdownIsRejected) {
+  const std::array<double, 2> s = {2.0, 0.0};
+  EXPECT_EQ(error_kind_of([&] { unfairness(s); }), SimErrorKind::kInvariant);
+}
+
+TEST(MetricsTest, HarmonicSpeedupOfEmptyListIsRejected) {
+  EXPECT_EQ(error_kind_of([] { harmonic_speedup({}); }),
+            SimErrorKind::kInvariant);
+}
+
+TEST(MetricsTest, HarmonicSpeedupOfNonPositiveSlowdownIsRejected) {
+  const std::array<double, 3> s = {1.5, -1.0, 2.0};
+  EXPECT_EQ(error_kind_of([&] { harmonic_speedup(s); }),
+            SimErrorKind::kInvariant);
 }
 
 }  // namespace
