@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <future>
 #include <memory>
 
 #include "baselines/asm_model.hpp"
@@ -336,17 +337,20 @@ Cycle cycles_from_env(const char* name, Cycle fallback) {
              : fallback;
 }
 
-const AloneStats& ExperimentRunner::alone_stats(const KernelProfile& profile) {
-  auto it = alone_cache_.find(profile.abbr);
-  if (it != alone_cache_.end()) return it->second;
+namespace {
 
-  Simulation sim(rc_.gpu, {AppLaunch{profile, app_seed(rc_.base_seed, 0)}});
-  sim.set_watchdog(rc_.watchdog_cycles);
-  apply_limits(rc_, sim, /*co_run=*/false);
+/// Steady-state alone run of `profile` on the full GPU for rc.co_run_cycles.
+/// It depends only on (config, profile, base seed, cycles) and never on a
+/// co-run, so the alone lane can measure it beside one.
+AloneStats measure_alone_stats(const RunConfig& rc,
+                               const KernelProfile& profile) {
+  Simulation sim(rc.gpu, {AppLaunch{profile, app_seed(rc.base_seed, 0)}});
+  sim.set_watchdog(rc.watchdog_cycles);
+  apply_limits(rc, sim, /*co_run=*/false);
   Gpu& gpu = sim.gpu();
   gpu.set_partition(even_partition(gpu.num_sms(), 1));
-  sim.run(rc_.co_run_cycles);
-  if (rc_.verify_conservation) gpu.verify_conservation();
+  sim.run(rc.co_run_cycles);
+  if (rc.verify_conservation) gpu.verify_conservation();
 
   AloneStats stats;
   stats.cycles = gpu.now();
@@ -362,12 +366,68 @@ const AloneStats& ExperimentRunner::alone_stats(const KernelProfile& profile) {
       static_cast<double>(gpu.num_partitions()) * gpu.now();
   stats.bw_util = data_cycles / capacity;
   stats.served_per_kcycle = 1000.0 * served / gpu.now();
-  return alone_cache_.emplace(profile.abbr, stats).first->second;
+  return stats;
+}
+
+/// Name of the first field in which `a` and `b` differ, in declaration
+/// order (empty when they are equal).
+std::string first_difference(const KernelProfile& a, const KernelProfile& b) {
+  if (a.name != b.name) return "name";
+  if (a.abbr != b.abbr) return "abbr";
+  if (a.table3_bw_util != b.table3_bw_util) return "table3_bw_util";
+  if (a.mem_fraction != b.mem_fraction) return "mem_fraction";
+  if (a.txns_per_mem_instr != b.txns_per_mem_instr) {
+    return "txns_per_mem_instr";
+  }
+  if (a.seq_locality != b.seq_locality) return "seq_locality";
+  if (a.working_set_bytes != b.working_set_bytes) return "working_set_bytes";
+  if (a.hot_fraction != b.hot_fraction) return "hot_fraction";
+  if (a.hot_set_bytes != b.hot_set_bytes) return "hot_set_bytes";
+  if (a.instrs_per_warp != b.instrs_per_warp) return "instrs_per_warp";
+  if (a.warps_per_block != b.warps_per_block) return "warps_per_block";
+  if (a.blocks_total != b.blocks_total) return "blocks_total";
+  if (a.max_concurrent_blocks != b.max_concurrent_blocks) {
+    return "max_concurrent_blocks";
+  }
+  return "";
+}
+
+/// The alone cache is keyed by abbreviation, so a profile edited under a
+/// known abbreviation must not be served the unedited app's baseline.
+void check_same_profile(const KernelProfile& cached,
+                        const KernelProfile& asked) {
+  SIM_CHECK(cached == asked,
+            SimError(SimErrorKind::kHarness, "harness.runner",
+                     "alone baseline requested for an edited profile under "
+                     "an abbreviation already used with other parameters")
+                .detail("abbr", asked.abbr)
+                .detail("field", first_difference(cached, asked)));
+}
+
+}  // namespace
+
+const AloneStats* ExperimentRunner::cached_alone(
+    const KernelProfile& profile) const {
+  const auto it = alone_cache_.find(profile.abbr);
+  if (it == alone_cache_.end()) return nullptr;
+  check_same_profile(it->second.profile, profile);
+  return &it->second.stats;
+}
+
+const AloneStats& ExperimentRunner::alone_stats(const KernelProfile& profile) {
+  if (const AloneStats* hit = cached_alone(profile)) return *hit;
+  const AloneStats& stats =
+      alone_cache_
+          .emplace(profile.abbr,
+                   AloneEntry{profile, measure_alone_stats(rc_, profile)})
+          .first->second.stats;
+  ++alone_runs_;
+  return stats;
 }
 
 Cycle ExperimentRunner::measure_alone_cycles(const KernelProfile& profile,
                                              u64 seed,
-                                             u64 target_instructions) {
+                                             u64 target_instructions) const {
   Simulation sim(rc_.gpu, {AppLaunch{profile, seed}});
   sim.set_activity_sched(rc_.activity_sched);
   Gpu& gpu = sim.gpu();
@@ -403,6 +463,23 @@ CoRunResult ExperimentRunner::run(const Workload& workload,
                                   const ModelSet& models, PolicyKind policy,
                                   const std::vector<int>* sm_split) {
   const int n = static_cast<int>(workload.apps.size());
+  const bool cached_ipc = rc_.alone_mode == RunConfig::AloneMode::kCachedIpc;
+  // Cached-IPC baselines the alone lane measures beside the co-run: the
+  // workload's apps missing from the cache, deduplicated, in workload order.
+  std::vector<const KernelProfile*> missing;
+  if (cached_ipc) {
+    for (const KernelProfile& app : workload.apps) {
+      const auto queued = std::find_if(
+          missing.begin(), missing.end(),
+          [&](const KernelProfile* m) { return m->abbr == app.abbr; });
+      if (queued != missing.end()) {
+        check_same_profile(**queued, app);
+      } else if (cached_alone(app) == nullptr) {
+        missing.push_back(&app);
+      }
+    }
+  }
+
   CoRunAssembly assembly =
       assemble_corun(rc_, workload, models, policy, sm_split);
   Simulation& sim = *assembly.sim;
@@ -458,6 +535,24 @@ CoRunResult ExperimentRunner::run(const Workload& workload,
     }
   }
 
+  // The lane starts once the co-run is assembled and restored, so a bad
+  // workload or snapshot fails before any baseline is simulated.  The
+  // future joins its thread when destroyed, so every way out of run() —
+  // return or throw — joins the lane first; it is never detached.  One
+  // lane, not a thread per baseline: the live set stays the co-run plus
+  // one alone Simulation, as when the baselines ran after the co-run.
+  std::future<std::vector<AloneStats>> lane;
+  if (!missing.empty()) {
+    lane = std::async(std::launch::async, [this, missing] {
+      std::vector<AloneStats> stats;
+      stats.reserve(missing.size());
+      for (const KernelProfile* app : missing) {
+        stats.push_back(measure_alone_stats(rc_, *app));
+      }
+      return stats;
+    });
+  }
+
   try {
     if (!snapshotting) {
       if (gpu.now() < rc_.co_run_cycles) {
@@ -509,9 +604,10 @@ CoRunResult ExperimentRunner::run(const Workload& workload,
                          have_anchor ? snap_path : std::string());
     }
     // Flush whatever telemetry was recorded up to the failure point, with
-    // a crash marker and no actual-slowdown columns (the alone baselines
-    // were never measured).  A graceful kInterrupted drain skips this: the
-    // resumed run will flush the complete, byte-identical files instead.
+    // a crash marker and no actual-slowdown columns (a failed co-run
+    // reports no alone baselines).  A graceful kInterrupted drain skips
+    // this: the resumed run will flush the complete, byte-identical files
+    // instead.
     if (rc_.telemetry.any() && assembly.telemetry &&
         e.kind() != SimErrorKind::kInterrupted) {
       try {
@@ -530,6 +626,36 @@ CoRunResult ExperimentRunner::run(const Workload& workload,
       }
     }
     throw;
+  }
+
+  // A co-run error has propagated by now (the lane's own error, if any,
+  // dies with the future); a lane error after a clean co-run surfaces here.
+  if (lane.valid()) {
+    const std::vector<AloneStats> stats = lane.get();
+    for (std::size_t k = 0; k < missing.size(); ++k) {
+      alone_cache_.emplace(missing[k]->abbr, AloneEntry{*missing[k], stats[k]});
+    }
+    alone_runs_ += missing.size();
+  }
+
+  // Exact replays are independent (app i's seed and instruction target),
+  // so the lane takes the odd slots and this thread the even ones.  A
+  // starved app (no instructions) needs no replay.
+  std::vector<Cycle> replay_cycles(n, 0);
+  if (!cached_ipc) {
+    std::vector<u64> targets(n);
+    for (int i = 0; i < n; ++i) targets[i] = gpu.instructions().total(i);
+    auto replay = [&](int first) {
+      for (int i = first; i < n; i += 2) {
+        if (targets[i] == 0) continue;
+        replay_cycles[i] = measure_alone_cycles(
+            workload.apps[i], app_seed(rc_.base_seed, i), targets[i]);
+      }
+    };
+    std::future<void> replay_lane;
+    if (n > 1) replay_lane = std::async(std::launch::async, replay, 1);
+    replay(0);
+    if (replay_lane.valid()) replay_lane.get();
   }
 
   CoRunResult result;
@@ -556,13 +682,10 @@ CoRunResult ExperimentRunner::run(const Workload& workload,
       continue;
     }
 
-    if (rc_.alone_mode == RunConfig::AloneMode::kExactReplay) {
-      const Cycle alone_cycles = measure_alone_cycles(
-          workload.apps[i], app_seed(rc_.base_seed, i), app.instructions);
-      app.ipc_alone = static_cast<double>(app.instructions) / alone_cycles;
-    } else {
-      app.ipc_alone = alone_stats(workload.apps[i]).ipc;
-    }
+    app.ipc_alone =
+        cached_ipc
+            ? alone_stats(workload.apps[i]).ipc
+            : static_cast<double>(app.instructions) / replay_cycles[i];
     app.actual_slowdown =
         app.ipc_shared > 0.0 ? app.ipc_alone / app.ipc_shared : 1.0;
     app.actual_slowdown = std::max(app.actual_slowdown, 1e-3);

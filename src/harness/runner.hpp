@@ -44,11 +44,15 @@ struct RunConfig {
 
   enum class AloneMode {
     /// Replay the co-run's exact instruction count alone on all SMs
-    /// (the paper's methodology).
+    /// (the paper's methodology).  Each replay depends only on its app's
+    /// seed and instruction target, so run() splits them between the
+    /// caller and its alone lane.
     kExactReplay,
     /// Use a cached steady-state alone IPC per application (our kernels
     /// are stationary, so this is nearly identical and much cheaper for
-    /// the 105-pair sweeps; the equivalence is test-asserted).
+    /// the 105-pair sweeps; the equivalence is test-asserted).  A baseline
+    /// depends only on (config, profile, base seed, cycles), never on the
+    /// co-run, so run() measures the missing ones beside the co-run.
     kCachedIpc,
   };
   AloneMode alone_mode = AloneMode::kExactReplay;
@@ -272,22 +276,48 @@ class ExperimentRunner {
   /// given, assigns sm_split[i] SMs to app i (Fig. 8a); otherwise the
   /// partition is even.  PolicyKind::kDaseFair attaches the DASE-Fair
   /// repartitioning policy (forces the DASE model on).
+  ///
+  /// The baselines run on one background *alone lane* (a single helper
+  /// thread per call).  In kCachedIpc mode the lane measures the
+  /// workload's uncached apps, deduplicated and in workload order, while
+  /// this thread runs the co-run; in kExactReplay mode the caller and the
+  /// lane split the post-co-run replays.  Results are bit-identical to
+  /// measuring serially.  The lane is always joined before run() returns
+  /// or throws.  A co-run error wins, and only co-run errors are
+  /// crash-bundled; a lane error after a clean co-run is rethrown as is.
   CoRunResult run(const Workload& workload, const ModelSet& models,
                   PolicyKind policy = PolicyKind::kEven,
                   const std::vector<int>* sm_split = nullptr);
 
-  /// Alone-run stats for one application on the full GPU (cached by
-  /// application abbreviation for the current RunConfig).
+  /// Alone-run stats for one application on the full GPU, measured
+  /// synchronously on the calling thread and cached by abbreviation for
+  /// the current RunConfig.  The cache keeps the profile beside its stats:
+  /// asking again under a cached abbreviation with a profile that differs
+  /// in any field raises SimError(kHarness) naming the first such field.
   const AloneStats& alone_stats(const KernelProfile& profile);
 
   /// Cycles the application needs alone, on all SMs, to issue
   /// `target_instructions` (the exact-replay measurement).
   Cycle measure_alone_cycles(const KernelProfile& profile, u64 seed,
-                             u64 target_instructions);
+                             u64 target_instructions) const;
+
+  /// Cached-IPC baselines this runner has simulated so far (each cache
+  /// entry is measured once, whichever thread measured it).
+  u64 alone_runs() const { return alone_runs_; }
 
  private:
+  struct AloneEntry {
+    KernelProfile profile;
+    AloneStats stats;
+  };
+
+  /// The cached stats for `profile`, or nullptr when its abbreviation is
+  /// not cached yet; raises kHarness when it is cached for another profile.
+  const AloneStats* cached_alone(const KernelProfile& profile) const;
+
   RunConfig rc_;
-  std::map<std::string, AloneStats> alone_cache_;
+  std::map<std::string, AloneEntry> alone_cache_;
+  u64 alone_runs_ = 0;
 };
 
 /// Reads an environment variable as cycles, falling back to `fallback`.

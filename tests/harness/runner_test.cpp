@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <filesystem>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/sim_error.hpp"
+#include "harness/sweep.hpp"
 #include "kernels/app_registry.hpp"
 
 namespace gpusim {
@@ -145,6 +151,195 @@ TEST(RunnerTest, CyclesFromEnvParsesAndFallsBack) {
   EXPECT_EQ(cycles_from_env("GPUSIM_TEST_CYCLES", 5), 5u);
   ::unsetenv("GPUSIM_TEST_CYCLES");
   EXPECT_EQ(cycles_from_env("GPUSIM_TEST_CYCLES", 7), 7u);
+}
+
+// ---- Alone lane --------------------------------------------------------
+
+RunConfig lane_config(RunConfig::AloneMode mode) {
+  RunConfig rc;
+  rc.co_run_cycles = 30'000;
+  rc.gpu.estimation_interval = 10'000;
+  rc.alone_mode = mode;
+  return rc;
+}
+
+/// Pairs whose apps repeat across pairs.  The same-app pair comes first,
+/// so both of its slots miss the cache in the same run().
+std::vector<Workload> lane_workloads() {
+  const KernelProfile va = *find_app("VA");
+  const KernelProfile sd = *find_app("SD");
+  const KernelProfile sa = *find_app("SA");
+  return {Workload{{sd, sd}}, Workload{{va, sd}}, Workload{{sa, va}},
+          Workload{{sd, sa}}};
+}
+
+/// Threads in this process, or -1 where /proc/self/task is unavailable.
+int live_threads() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return -1;
+  int n = 0;
+  for (; it != std::filesystem::directory_iterator(); ++it) ++n;
+  return n;
+}
+
+/// Waits (briefly) for the thread count to fall back to `baseline`: a
+/// joined thread can linger in /proc for a moment after pthread_join.
+bool threads_back_to(int baseline) {
+  for (int i = 0; i < 200; ++i) {
+    if (live_threads() <= baseline) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return false;
+}
+
+class AloneLaneTest : public ::testing::TestWithParam<RunConfig::AloneMode> {};
+
+TEST_P(AloneLaneTest, MatchesSeriallyWarmedBaselines) {
+  const RunConfig rc = lane_config(GetParam());
+  const std::vector<Workload> workloads = lane_workloads();
+
+  ExperimentRunner warmed(rc);
+  std::set<std::string> distinct;
+  for (const Workload& w : workloads) {
+    for (const KernelProfile& app : w.apps) {
+      warmed.alone_stats(app);
+      distinct.insert(app.abbr);
+    }
+  }
+  ASSERT_EQ(warmed.alone_runs(), distinct.size());
+
+  ExperimentRunner fresh(rc);
+  const bool cached = GetParam() == RunConfig::AloneMode::kCachedIpc;
+  for (const Workload& w : workloads) {
+    const CoRunResult r = fresh.run(w, ModelSet{.dase = true});
+    EXPECT_EQ(SweepRunner::to_json(r),
+              SweepRunner::to_json(warmed.run(w, ModelSet{.dase = true})))
+        << w.label();
+    // Each slot's alone IPC equals its serial measurement, bit for bit.
+    for (std::size_t i = 0; i < w.apps.size(); ++i) {
+      const double serial =
+          cached ? warmed.alone_stats(w.apps[i]).ipc
+                 : static_cast<double>(r.apps[i].instructions) /
+                       fresh.measure_alone_cycles(
+                           w.apps[i],
+                           harness_app_seed(rc.base_seed, static_cast<int>(i)),
+                           r.apps[i].instructions);
+      EXPECT_EQ(r.apps[i].ipc_alone, serial) << w.label() << " slot " << i;
+    }
+  }
+  EXPECT_EQ(warmed.alone_runs(), distinct.size())
+      << "a warmed cache must not be measured again";
+  // Cached-IPC runs measure each distinct app once — SD once across
+  // SD+SD, VA+SD and SD+SA; exact replays never touch the cache.
+  EXPECT_EQ(fresh.alone_runs(), cached ? distinct.size() : 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothAloneModes, AloneLaneTest,
+    ::testing::Values(RunConfig::AloneMode::kCachedIpc,
+                      RunConfig::AloneMode::kExactReplay),
+    [](const ::testing::TestParamInfo<RunConfig::AloneMode>& info) {
+      return info.param == RunConfig::AloneMode::kCachedIpc
+                 ? std::string("CachedIpc")
+                 : std::string("ExactReplay");
+    });
+
+std::string failure_of(ExperimentRunner& runner, const Workload& w,
+                       SimErrorKind expected) {
+  try {
+    runner.run(w, ModelSet{.dase = true});
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), expected) << e.what();
+    return e.what();
+  }
+  ADD_FAILURE() << "run() did not throw";
+  return "";
+}
+
+TEST(AloneLaneFailureTest, CoRunErrorWinsAndLeavesRunnerUsable) {
+  RunConfig rc = lane_config(RunConfig::AloneMode::kCachedIpc);
+  rc.cycle_budget = rc.co_run_cycles / 2;
+  const Workload w{{*find_app("VA"), *find_app("SD")}};
+  const int before = live_threads();
+
+  ExperimentRunner runner(rc);
+  const std::string first =
+      failure_of(runner, w, SimErrorKind::kBudgetExceeded);
+  if (before > 0) {
+    EXPECT_TRUE(threads_back_to(before));
+  }
+
+  // The failed run leaves the runner as a fresh one would behave: the same
+  // co-run error again, and baselines equal to an unbudgeted runner's
+  // (budgets never apply to alone runs).
+  ExperimentRunner fresh(rc);
+  EXPECT_EQ(failure_of(runner, w, SimErrorKind::kBudgetExceeded),
+            failure_of(fresh, w, SimErrorKind::kBudgetExceeded));
+  EXPECT_EQ(first, failure_of(fresh, w, SimErrorKind::kBudgetExceeded));
+  ExperimentRunner unbudgeted(lane_config(RunConfig::AloneMode::kCachedIpc));
+  for (const KernelProfile& app : w.apps) {
+    EXPECT_EQ(runner.alone_stats(app).ipc, unbudgeted.alone_stats(app).ipc)
+        << app.abbr;
+  }
+}
+
+TEST(AloneLaneFailureTest, SetCancelFlagInterruptsWithoutLeavingThreads) {
+  for (const RunConfig::AloneMode mode :
+       {RunConfig::AloneMode::kCachedIpc,
+        RunConfig::AloneMode::kExactReplay}) {
+    std::atomic<bool> cancel{true};
+    RunConfig rc = lane_config(mode);
+    rc.cancel = &cancel;
+    const Workload w{{*find_app("SD"), *find_app("SA")}};
+    const int before = live_threads();
+
+    ExperimentRunner runner(rc);
+    failure_of(runner, w, SimErrorKind::kInterrupted);
+    if (before > 0) {
+      EXPECT_TRUE(threads_back_to(before))
+          << "run() left a thread behind: " << live_threads() << " live, "
+          << before << " before";
+    }
+
+    // The lane's baselines honour the flag too (the co-run error wins, so
+    // run() alone cannot show it): a synchronous baseline is interrupted.
+    try {
+      runner.alone_stats(w.apps[0]);
+      ADD_FAILURE() << "an alone baseline ignored the cancel flag";
+    } catch (const SimError& e) {
+      EXPECT_EQ(e.kind(), SimErrorKind::kInterrupted) << e.what();
+    }
+
+    // Once the flag clears, the same runner reproduces a fresh result.
+    cancel.store(false);
+    ExperimentRunner fresh(rc);
+    EXPECT_EQ(SweepRunner::to_json(runner.run(w, ModelSet{.dase = true})),
+              SweepRunner::to_json(fresh.run(w, ModelSet{.dase = true})));
+  }
+}
+
+TEST(AloneCacheTest, EditedProfileUnderCachedAbbrIsRejected) {
+  ExperimentRunner runner(lane_config(RunConfig::AloneMode::kCachedIpc));
+  const KernelProfile sb = *find_app("SB");
+  KernelProfile hog = sb;
+  hog.mem_fraction = sb.mem_fraction * 2.0;
+  runner.alone_stats(sb);
+  try {
+    runner.alone_stats(hog);
+    FAIL() << "an edited SB was served the unedited SB's baseline";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimErrorKind::kHarness);
+    const std::string what = e.what();
+    EXPECT_NE(what.find("SB"), std::string::npos) << what;
+    EXPECT_NE(what.find("mem_fraction"), std::string::npos) << what;
+  }
+  // run() checks before simulating anything, within one workload too.
+  ExperimentRunner other(lane_config(RunConfig::AloneMode::kCachedIpc));
+  EXPECT_THROW(other.run(Workload{{sb, hog}}, ModelSet{}), SimError);
+  EXPECT_EQ(other.alone_runs(), 0u);
+  EXPECT_THROW(runner.run(Workload{{hog, sb}}, ModelSet{}), SimError);
+  EXPECT_EQ(runner.alone_runs(), 1u);
 }
 
 }  // namespace

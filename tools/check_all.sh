@@ -53,7 +53,7 @@ step "[6/10] policy governor: watchdog, breakers, transparency" tools/check_gove
 
 step "[7/10] ASan + UBSan" tools/check_sanitize.sh
 
-step "[8/10] TSan (worker pool, queue, job manager)" tools/check_tsan.sh
+step "[8/10] TSan (worker pool, queue, job manager, alone lane)" tools/check_tsan.sh
 
 step "[9/10] telemetry: schema, trace, transparency, overhead" tools/check_telemetry.sh build
 
