@@ -1,10 +1,11 @@
 #include "gpu/snapshot.hpp"
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
+#include <string_view>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/build_info.hpp"
 #include "common/sim_error.hpp"
 #include "common/simstate.hpp"
@@ -67,23 +68,12 @@ void write_snapshot_file(const std::string& path, const Simulation& sim,
   w.put_u64(payload.size());
   w.put_u64(hash_bytes(payload.data(), payload.size()));
 
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) SIM_FAIL(io_error(tmp, "cannot open snapshot temp file"));
-    out.write(reinterpret_cast<const char*>(w.bytes().data()),
-              static_cast<std::streamsize>(w.bytes().size()));
-    out.write(reinterpret_cast<const char*>(payload.data()),
-              static_cast<std::streamsize>(payload.size()));
-    out.flush();
-    if (!out) SIM_FAIL(io_error(tmp, "short write to snapshot temp file"));
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    SIM_FAIL(io_error(path, "cannot publish snapshot file")
-                 .detail("error", ec.message()));
-  }
+  const auto bytes = [](const std::vector<u8>& v) {
+    return std::string_view(reinterpret_cast<const char*>(v.data()),
+                            v.size());
+  };
+  write_file_atomic(path, {bytes(w.bytes()), bytes(payload)},
+                    SimErrorKind::kSnapshot, "gpu.snapshot");
 }
 
 namespace {

@@ -167,7 +167,8 @@ FaultSchedule minimize_failing_schedule(const ChaosOptions& opts,
 /// Runs the whole campaign (resuming from the checkpoint when present).
 ChaosReport run_chaos_campaign(const ChaosOptions& opts);
 
-/// Atomically writes report.to_json() to `path` (temp file + rename).
+/// Publishes report.to_json() at `path` with write_file_atomic; an
+/// unwritable path raises SimError(kHarness).
 void write_chaos_report(const std::string& path, const ChaosReport& report);
 
 }  // namespace gpusim

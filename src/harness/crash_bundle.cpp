@@ -5,10 +5,13 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <optional>
 #include <sstream>
 
 #include "common/build_info.hpp"
 #include "common/config_io.hpp"
+#include "common/json.hpp"
 #include "gpu/simulator.hpp"
 #include "gpu/snapshot.hpp"
 
@@ -20,81 +23,6 @@ namespace fs = std::filesystem;
 
 std::string schema_name() {
   return "gpusim-crash-bundle-v" + std::to_string(kCrashBundleSchema);
-}
-
-std::string escape_json(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// Inverse of escape_json, total over arbitrary input: a malformed escape
-/// is kept literally rather than crashing (the manifest reader must never
-/// trust its input).
-std::string unescape_json(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    if (text[i] != '\\' || i + 1 >= text.size()) {
-      out += text[i];
-      continue;
-    }
-    const char next = text[++i];
-    switch (next) {
-      case '"': out += '"'; break;
-      case '\\': out += '\\'; break;
-      case 'n': out += '\n'; break;
-      case 'r': out += '\r'; break;
-      case 't': out += '\t'; break;
-      case 'u': {
-        if (i + 4 < text.size()) {
-          const std::string hex = text.substr(i + 1, 4);
-          char* end = nullptr;
-          const unsigned long code = std::strtoul(hex.c_str(), &end, 16);
-          if (end != nullptr && *end == '\0' && code < 0x80) {
-            out += static_cast<char>(code);
-            i += 4;
-            break;
-          }
-        }
-        out += "\\u";
-        break;
-      }
-      default:
-        out += '\\';
-        out += next;
-        break;
-    }
-  }
-  return out;
-}
-
-std::string sanitize_name(const std::string& label) {
-  std::string name;
-  name.reserve(label.size());
-  for (char c : label) {
-    const bool safe = std::isalnum(static_cast<unsigned char>(c)) != 0 ||
-                      c == '-' || c == '_' || c == '.' || c == '+';
-    name += safe ? c : '_';
-  }
-  return name.empty() ? std::string("unnamed") : name;
 }
 
 std::string join_space(const std::vector<std::string>& parts) {
@@ -129,77 +57,35 @@ void write_manifest(std::ostream& os, const TriageContext& ctx,
   if (ctx.mise) models += models.empty() ? "mise" : " mise";
   if (ctx.asm_model) models += models.empty() ? "asm" : " asm";
   os << "{\n";
-  os << "  \"schema\": \"" << escape_json(schema_name()) << "\",\n";
+  os << "  \"schema\": \"" << json_escape(schema_name()) << "\",\n";
   os << "  \"build_fingerprint\": " << build_fingerprint() << ",\n";
   os << "  \"build_line\": \""
-     << escape_json(build_fingerprint_line(kSnapshotVersion)) << "\",\n";
-  os << "  \"mode\": \"" << escape_json(ctx.mode) << "\",\n";
-  os << "  \"label\": \"" << escape_json(ctx.label) << "\",\n";
-  os << "  \"apps\": \"" << escape_json(join_space(ctx.apps)) << "\",\n";
+     << json_escape(build_fingerprint_line(kSnapshotVersion)) << "\",\n";
+  os << "  \"mode\": \"" << json_escape(ctx.mode) << "\",\n";
+  os << "  \"label\": \"" << json_escape(ctx.label) << "\",\n";
+  os << "  \"apps\": \"" << json_escape(join_space(ctx.apps)) << "\",\n";
   os << "  \"base_seed\": " << ctx.base_seed << ",\n";
   os << "  \"co_run_cycles\": " << ctx.co_run_cycles << ",\n";
-  os << "  \"policy\": \"" << escape_json(ctx.policy) << "\",\n";
+  os << "  \"policy\": \"" << json_escape(ctx.policy) << "\",\n";
   os << "  \"models\": \"" << models << "\",\n";
-  os << "  \"faults\": \"" << escape_json(ctx.faults) << "\",\n";
+  os << "  \"faults\": \"" << json_escape(ctx.faults) << "\",\n";
   os << "  \"watchdog_cycles\": " << ctx.watchdog_cycles << ",\n";
   os << "  \"governor\": \"" << (ctx.governor ? "on" : "off") << "\",\n";
   os << "  \"sm_split\": \"" << join_space_ints(ctx.sm_split) << "\",\n";
   os << "  \"fingerprint\": " << ctx.fingerprint << ",\n";
   os << "  \"failure_cycle\": " << failure_cycle << ",\n";
   os << "  \"failure_state_hash\": " << failure_state_hash << ",\n";
-  os << "  \"error_kind\": \"" << escape_json(to_string(err.kind()))
+  os << "  \"error_kind\": \"" << json_escape(to_string(err.kind()))
      << "\",\n";
-  os << "  \"error_component\": \"" << escape_json(err.component())
+  os << "  \"error_component\": \"" << json_escape(err.component())
      << "\",\n";
-  os << "  \"error_message\": \"" << escape_json(err.message()) << "\",\n";
+  os << "  \"error_message\": \"" << json_escape(err.message()) << "\",\n";
   os << "  \"snapshot\": \"snapshot.simstate\",\n";
   os << "  \"anchor\": \"" << (have_anchor ? "anchor.simstate" : "")
      << "\",\n";
-  os << "  \"replay\": \"" << escape_json("gpusim_cli --triage " + final_dir)
+  os << "  \"replay\": \"" << json_escape("gpusim_cli --triage " + final_dir)
      << "\"\n";
   os << "}\n";
-}
-
-/// Key-per-line tolerant parse: returns true and fills `value` (raw, still
-/// JSON-escaped for strings) when `line` carries `key`.
-bool line_value(const std::string& line, const std::string& key,
-                std::string& value, bool& is_string) {
-  const std::string needle = "\"" + key + "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  std::size_t at = pos + needle.size();
-  while (at < line.size() && (line[at] == ' ' || line[at] == '\t')) ++at;
-  if (at >= line.size()) return false;
-  if (line[at] == '"') {
-    // Scan to the closing unescaped quote.
-    std::string raw;
-    for (std::size_t i = at + 1; i < line.size(); ++i) {
-      if (line[i] == '\\' && i + 1 < line.size()) {
-        raw += line[i];
-        raw += line[i + 1];
-        ++i;
-        continue;
-      }
-      if (line[i] == '"') {
-        value = raw;
-        is_string = true;
-        return true;
-      }
-      raw += line[i];
-    }
-    return false;  // unterminated string: treat the key as absent
-  }
-  std::string raw;
-  while (at < line.size() && line[at] != ',' && line[at] != '\n' &&
-         line[at] != '}') {
-    raw += line[at++];
-  }
-  while (!raw.empty() && (raw.back() == ' ' || raw.back() == '\t')) {
-    raw.pop_back();
-  }
-  value = raw;
-  is_string = false;
-  return true;
 }
 
 std::vector<std::string> split_space(const std::string& text) {
@@ -211,6 +97,17 @@ std::vector<std::string> split_space(const std::string& text) {
 }
 
 }  // namespace
+
+std::string sanitize_file_name(const std::string& label) {
+  std::string name;
+  name.reserve(label.size());
+  for (char c : label) {
+    const bool safe = std::isalnum(static_cast<unsigned char>(c)) != 0 ||
+                      c == '-' || c == '_' || c == '.' || c == '+';
+    name += safe ? c : '_';
+  }
+  return name.empty() ? std::string("unnamed") : name;
+}
 
 std::string write_crash_bundle(const std::string& bundle_root,
                                const Simulation& sim, const GpuConfig& cfg,
@@ -225,7 +122,7 @@ std::string write_crash_bundle(const std::string& bundle_root,
     // Pick a fresh directory name; concurrent sweep jobs may crash on the
     // same workload, so probe with numeric suffixes.
     const Cycle failure_cycle = sim.gpu().now();
-    const std::string base = ctx.mode + "-" + sanitize_name(ctx.label) +
+    const std::string base = ctx.mode + "-" + sanitize_file_name(ctx.label) +
                              "-c" + std::to_string(failure_cycle);
     std::string name = base;
     fs::path dir = fs::path(bundle_root) / name;
@@ -248,27 +145,20 @@ std::string write_crash_bundle(const std::string& bundle_root,
                                   fs::copy_options::overwrite_existing, ec);
     }
     save_config((tmp / "config.txt").string(), cfg);
-    {
-      std::ofstream events(tmp / "events.txt", std::ios::trunc);
-      events << build_fingerprint_line(kSnapshotVersion) << "\n\n"
-             << "error:\n" << err.what() << "\n\n"
-             << sim.gpu().flight_recorder().render_timeline(256) << "\n"
-             << sim.gpu().dump_state();
-      if (!events.good()) {
-        throw std::runtime_error("short write to events.txt");
-      }
-    }
-    {
-      // The manifest is written last inside the temp dir: its presence is
-      // the bundle's completeness marker.
-      std::ofstream manifest(tmp / "manifest.json", std::ios::trunc);
-      write_manifest(manifest, ctx, err, failure_cycle, sim.state_hash(),
-                     have_anchor, dir.string());
-      manifest.flush();
-      if (!manifest.good()) {
-        throw std::runtime_error("short write to manifest.json");
-      }
-    }
+    std::ostringstream events;
+    events << build_fingerprint_line(kSnapshotVersion) << "\n\n"
+           << "error:\n" << err.what() << "\n\n"
+           << sim.gpu().flight_recorder().render_timeline(256) << "\n"
+           << sim.gpu().dump_state();
+    write_file_atomic((tmp / "events.txt").string(), {events.str()},
+                      SimErrorKind::kSnapshot, "harness.crash_bundle");
+    // The manifest is written last inside the temp dir: its presence is
+    // the bundle's completeness marker.
+    std::ostringstream manifest;
+    write_manifest(manifest, ctx, err, failure_cycle, sim.state_hash(),
+                   have_anchor, dir.string());
+    write_file_atomic((tmp / "manifest.json").string(), {manifest.str()},
+                      SimErrorKind::kSnapshot, "harness.crash_bundle");
     fs::rename(tmp, dir);
     std::fprintf(stderr,
                  "gpusim: crash bundle written to %s (inspect with: "
@@ -300,77 +190,36 @@ CrashBundleManifest read_crash_bundle_manifest(
             manifest_error(bundle_dir,
                            "bundle has no manifest.json — incomplete or not "
                            "a crash bundle"));
-  std::ifstream in(manifest_path);
-  SIM_CHECK(in.good(),
-            manifest_error(bundle_dir, "cannot open manifest.json"));
+  std::ifstream in(manifest_path, std::ios::binary);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  // Unknown keys are ignored (forward compatibility); anything that is not
+  // one well-formed JSON object is rejected whole.
+  const std::optional<JsonObject> json = parse_json_object(text);
+  SIM_CHECK(json.has_value(),
+            manifest_error(bundle_dir,
+                           "manifest.json is not a well-formed JSON object "
+                           "— truncated or corrupt"));
 
-  // One pass over the lines; later duplicates win (harmless), unknown keys
-  // are ignored (forward compatibility).
-  std::vector<std::pair<std::string, std::string>> strings;
-  std::vector<std::pair<std::string, std::string>> numbers;
-  static const char* kStringKeys[] = {
-      "schema",  "build_line", "mode",           "label",
-      "apps",    "policy",     "models",         "faults",
-      "sm_split", "error_kind", "error_component", "error_message",
-      "snapshot", "anchor",     "replay",         "governor"};
-  static const char* kNumberKeys[] = {
-      "build_fingerprint", "base_seed",     "co_run_cycles",
-      "watchdog_cycles",   "fingerprint",   "failure_cycle",
-      "failure_state_hash"};
-  std::string line;
-  while (std::getline(in, line)) {
-    std::string value;
-    bool is_string = false;
-    for (const char* key : kStringKeys) {
-      if (line_value(line, key, value, is_string) && is_string) {
-        strings.emplace_back(key, unescape_json(value));
-      }
-    }
-    for (const char* key : kNumberKeys) {
-      if (line_value(line, key, value, is_string) && !is_string) {
-        numbers.emplace_back(key, value);
-      }
-    }
-  }
-
-  const auto get_string = [&](const char* key,
-                              std::string* out) -> bool {
-    bool found = false;
-    for (const auto& [k, v] : strings) {
-      if (k == key) {
-        *out = v;
-        found = true;
-      }
-    }
-    return found;
+  const auto get_string = [&](const char* key, std::string* out) {
+    if (const std::string* value = json->string(key)) *out = *value;
   };
   const auto require_string = [&](const char* key) {
-    std::string out;
-    if (!get_string(key, &out)) {
-      SIM_FAIL(manifest_error(bundle_dir,
-                              "manifest.json is missing a required string "
-                              "key")
-                   .detail("key", key));
-    }
-    return out;
+    const std::string* value = json->string(key);
+    SIM_CHECK(value != nullptr,
+              manifest_error(bundle_dir,
+                             "manifest.json is missing a required string key")
+                  .detail("key", key));
+    return *value;
   };
   const auto require_u64 = [&](const char* key) {
-    for (const auto& [k, v] : numbers) {
-      if (k != key) continue;
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(v.c_str(), &end, 10);
-      SIM_CHECK(end != nullptr && end != v.c_str() && *end == '\0',
-                manifest_error(bundle_dir,
-                               "manifest.json has an unparsable numeric "
-                               "value")
-                    .detail("key", key)
-                    .detail("value", v));
-      return static_cast<u64>(parsed);
-    }
-    SIM_FAIL(manifest_error(bundle_dir,
-                            "manifest.json is missing a required numeric "
-                            "key")
-                 .detail("key", key));
+    const std::optional<u64> value = json->unsigned_value(key);
+    SIM_CHECK(value.has_value(),
+              manifest_error(bundle_dir,
+                             "manifest.json is missing a required unsigned "
+                             "integer key")
+                  .detail("key", key));
+    return *value;
   };
 
   CrashBundleManifest m;

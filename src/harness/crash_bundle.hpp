@@ -70,6 +70,10 @@ struct CrashBundleManifest {
   std::string replay;         ///< suggested triage command line
 };
 
+/// `label` with every character a filesystem might dislike replaced by
+/// '_' ("unnamed" when empty); names bundle and snapshot files.
+std::string sanitize_file_name(const std::string& label);
+
 /// Emits one crash bundle under `bundle_root` (created if missing) and
 /// returns the published directory path.  Best-effort by design: any
 /// failure (unwritable disk, snapshot serialization error) is reported on

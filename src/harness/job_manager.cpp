@@ -10,15 +10,17 @@
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <utility>
 
-#include "common/bounded_queue.hpp"
 #include "common/build_info.hpp"
 #include "common/fault_injection.hpp"
+#include "common/json.hpp"
 #include "common/sim_error.hpp"
 #include "harness/chaos.hpp"
+#include "harness/journal.hpp"
 #include "harness/runner.hpp"
 #include "harness/sweep.hpp"
 #include "harness/worker_pool.hpp"
@@ -27,29 +29,6 @@
 namespace gpusim {
 
 namespace {
-
-std::string escape_json(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// splitmix64 — the repo's standard seed mixer; here it derives the
 /// deterministic retry-backoff jitter from (job index, attempt).
@@ -90,46 +69,6 @@ std::vector<std::string> split_on(const std::string& text, char sep) {
     if (!item.empty()) out.push_back(item);
   }
   return out;
-}
-
-/// Same positional field extraction the sweep checkpoint loader uses: the
-/// manifest is our own append-only output, so this is exact, not heuristic.
-std::string extract_string_field(const std::string& line,
-                                 const std::string& key) {
-  const std::string needle = "\"" + key + "\":\"";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return "";
-  const auto start = pos + needle.size();
-  std::string out;
-  for (auto i = start; i < line.size(); ++i) {
-    const char c = line[i];
-    if (c == '\\' && i + 1 < line.size()) {
-      const char n = line[++i];
-      switch (n) {
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        default: out += n;
-      }
-      continue;
-    }
-    if (c == '"') return out;
-    out += c;
-  }
-  return "";
-}
-
-bool extract_u64_field(const std::string& line, const std::string& key,
-                       u64& out) {
-  const std::string needle = "\"" + key + "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  const auto start = pos + needle.size();
-  auto end = start;
-  while (end < line.size() && line[end] >= '0' && line[end] <= '9') ++end;
-  if (end == start) return false;
-  out = std::strtoull(line.substr(start, end - start).c_str(), nullptr, 10);
-  return true;
 }
 
 Cycle effective_cycles(const JobSpec& spec, const JobManagerOptions& opts) {
@@ -258,8 +197,7 @@ std::string execute_sweep_job(const JobSpec& spec,
   const std::vector<SweepEntry> entries = sweep.run(workloads);
 
   int failed = 0;
-  std::ostringstream payload;
-  payload << "[";
+  std::string payload = "[";
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const SweepEntry& e = entries[i];
     // A drained slot (cancel flag mid-sweep): never attempted, no error —
@@ -269,17 +207,11 @@ std::string execute_sweep_job(const JobSpec& spec,
                         "sweep job drained on the shutdown flag")
                    .detail("pending_pair", e.label));
     }
-    if (i != 0) payload << ",";
-    if (e.ok) {
-      payload << e.result_json;
-    } else {
-      ++failed;
-      payload << "{\"label\":\"" << escape_json(e.label)
-              << "\",\"failed\":true,\"error\":\"" << escape_json(e.error)
-              << "\"}";
-    }
+    if (i != 0) payload += ",";
+    if (!e.ok) ++failed;
+    payload += SweepRunner::entry_json(e);
   }
-  payload << "]";
+  payload += "]";
   // Pairs already retried inside the sweep; re-running the whole job
   // cannot help, so failed pairs fail the job terminally (kHarness is a
   // fail-fast kind).  The checkpoint file keeps the per-pair detail.
@@ -288,7 +220,7 @@ std::string execute_sweep_job(const JobSpec& spec,
                      std::to_string(failed) + " of " +
                          std::to_string(entries.size()) +
                          " sweep pairs failed"));
-  return payload.str();
+  return payload;
 }
 
 /// chaos job → the campaign report, compacted onto one line (the report's
@@ -343,15 +275,15 @@ std::string result_line(const JobResult& r) {
   // Emitted only when the batch ran with telemetry enabled, so manifests of
   // telemetry-free batches stay byte-identical to previous versions.
   if (!r.telemetry_dir.empty()) {
-    ss << ",\"telemetry_dir\":\"" << escape_json(r.telemetry_dir) << "\"";
+    ss << ",\"telemetry_dir\":\"" << json_escape(r.telemetry_dir) << "\"";
   }
   if (r.status == JobStatus::kOk) {
     ss << ",\"payload\":" << r.payload_json;
   } else {
-    ss << ",\"error_kind\":\"" << escape_json(r.error_kind)
-       << "\",\"error_component\":\"" << escape_json(r.error_component)
-       << "\",\"error_message\":\"" << escape_json(r.error_message)
-       << "\",\"reproducer\":\"" << escape_json(r.reproducer) << "\"";
+    ss << ",\"error_kind\":\"" << json_escape(r.error_kind)
+       << "\",\"error_component\":\"" << json_escape(r.error_component)
+       << "\",\"error_message\":\"" << json_escape(r.error_message)
+       << "\",\"reproducer\":\"" << json_escape(r.reproducer) << "\"";
   }
   ss << "}";
   return ss.str();
@@ -599,15 +531,8 @@ int JobBatchReport::exit_code() const {
 }
 
 void write_job_report(const std::string& path, const JobBatchReport& report) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    SIM_CHECK(out.good(), SimError(SimErrorKind::kHarness, "harness.jobs",
-                                   "cannot open report file for writing")
-                              .detail("path", tmp));
-    out << report.to_json();
-  }
-  std::filesystem::rename(tmp, path);
+  write_file_atomic(path, {report.to_json()}, SimErrorKind::kHarness,
+                    "harness.jobs");
 }
 
 JobManager::JobManager(JobManagerOptions opts) : opts_(std::move(opts)) {
@@ -635,36 +560,27 @@ JobBatchReport JobManager::run(const std::vector<JobSpec>& specs) {
   SIM_CHECK(!specs.empty(),
             SimError(SimErrorKind::kHarness, "harness.jobs",
                      "job batch is empty"));
-  {
-    std::ifstream probe(opts_.manifest_path, std::ios::binary);
-    const bool nonempty =
-        probe && probe.seekg(0, std::ios::end) && probe.tellg() > 0;
-    SIM_CHECK(!nonempty,
-              SimError(SimErrorKind::kHarness, "harness.jobs",
-                       "manifest already exists — resume it "
-                       "(--jobs-resume) or remove it first")
-                  .detail("path", opts_.manifest_path));
-  }
-  {
-    std::ofstream out(opts_.manifest_path, std::ios::trunc);
-    SIM_CHECK(out.good(), SimError(SimErrorKind::kHarness, "harness.jobs",
-                                   "cannot open manifest for writing")
-                              .detail("path", opts_.manifest_path));
-    // "build" is informational (resume never rejects on it): it lets a
-    // triage session tell whether a manifest was produced by this binary.
-    out << "{\"gpusim_jobs\":" << kJobsManifestSchema
-        << ",\"total\":" << specs.size()
-        << ",\"base_seed\":" << opts_.base_seed
-        << ",\"default_cycles\":" << opts_.default_cycles
-        << ",\"build\":" << build_fingerprint() << "}\n";
-    for (const JobSpec& spec : specs) {
-      out << "{\"job\":" << spec.index << ",\"spec\":\""
-          << escape_json(spec.raw) << "\"}\n";
-    }
-    out.flush();
-    SIM_CHECK(out.good(), SimError(SimErrorKind::kHarness, "harness.jobs",
-                                   "manifest header write failed")
-                              .detail("path", opts_.manifest_path));
+  std::error_code ec;
+  const auto size = std::filesystem::file_size(opts_.manifest_path, ec);
+  SIM_CHECK(ec || size == 0,
+            SimError(SimErrorKind::kHarness, "harness.jobs",
+                     "manifest already exists — resume it "
+                     "(--jobs-resume) or remove it first")
+                .detail("path", opts_.manifest_path));
+  Journal manifest(opts_.manifest_path, "jobs manifest", "job",
+                   "harness.jobs");
+  // "build" is informational (resume never rejects on it): it lets a
+  // triage session tell whether a manifest was produced by this binary.
+  std::ostringstream header;
+  header << "{\"gpusim_jobs\":" << kJobsManifestSchema
+         << ",\"total\":" << specs.size()
+         << ",\"base_seed\":" << opts_.base_seed
+         << ",\"default_cycles\":" << opts_.default_cycles
+         << ",\"build\":" << build_fingerprint() << "}";
+  manifest.append(header.str());
+  for (const JobSpec& spec : specs) {
+    manifest.append("{\"job\":" + std::to_string(spec.index) +
+                    ",\"spec\":\"" + json_escape(spec.raw) + "\"}");
   }
   std::vector<JobResult> seeded(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -672,67 +588,48 @@ JobBatchReport JobManager::run(const std::vector<JobSpec>& specs) {
     seeded[i].spec_raw = specs[i].raw;
   }
   torn_lines_skipped_ = 0;
-  return execute(specs, std::move(seeded));
+  return execute(specs, std::move(seeded), manifest);
 }
 
 JobBatchReport JobManager::resume() {
-  torn_lines_skipped_ = 0;
-  std::ifstream in(opts_.manifest_path);
-  SIM_CHECK(static_cast<bool>(in),
+  SIM_CHECK(std::filesystem::is_regular_file(opts_.manifest_path),
             SimError(SimErrorKind::kHarness, "harness.jobs",
                      "cannot open manifest to resume")
                 .detail("path", opts_.manifest_path));
+  Journal manifest(opts_.manifest_path, "jobs manifest", "job",
+                   "harness.jobs");
 
   u64 total = 0;
   bool have_header = false;
-  std::map<u64, std::string> spec_lines;    // job index -> raw spec
-  std::map<u64, std::string> result_lines;  // job index -> stored line
-  std::string line;
-  int line_no = 0;
-  auto warn_torn = [&](const char* why) {
-    ++torn_lines_skipped_;
-    std::fprintf(stderr,
-                 "gpusim: jobs manifest %s line %d is %s — skipping it; "
-                 "the affected job will re-run\n",
-                 opts_.manifest_path.c_str(), line_no, why);
-  };
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;  // seal_torn_tail padding, harmless
-    if (line.back() != '}') {
-      warn_torn("truncated (crash mid-write?)");
-      continue;
-    }
-    if (!have_header && line.rfind("{\"gpusim_jobs\":", 0) == 0) {
-      SIM_CHECK(extract_u64_field(line, "total", total) && total > 0,
+  std::map<u64, std::string> spec_lines;             // job index -> raw spec
+  std::map<u64, const JournalRecord*> result_lines;  // last one per job wins
+  for (const JournalRecord& rec : manifest.records()) {
+    const JsonObject& line = rec.object;
+    if (!have_header && line.raw("gpusim_jobs") != nullptr) {
+      const std::optional<u64> count = line.unsigned_value("total");
+      SIM_CHECK(count && *count > 0,
                 SimError(SimErrorKind::kHarness, "harness.jobs",
                          "manifest header has no job count")
                     .detail("path", opts_.manifest_path));
+      total = *count;
       have_header = true;
       continue;
     }
-    u64 index = 0;
-    if (!extract_u64_field(line, "job", index)) {
-      warn_torn("missing its job index");
-      continue;
-    }
-    if (line.find("\"spec\":\"") != std::string::npos) {
-      spec_lines[index] = extract_string_field(line, "spec");
-    } else if (line.find("\"status\":\"") != std::string::npos) {
-      result_lines[index] = line;  // last line for a job wins
+    const std::optional<u64> index = line.unsigned_value("job");
+    if (!index) {
+      manifest.skip(rec.line_no, "missing its job index");
+    } else if (const std::string* spec = line.string("spec")) {
+      spec_lines[*index] = *spec;
+    } else if (line.string("status") != nullptr) {
+      result_lines[*index] = &rec;
     } else {
-      warn_torn("neither a spec nor a result");
+      manifest.skip(rec.line_no, "neither a spec nor a result");
     }
   }
   SIM_CHECK(have_header,
             SimError(SimErrorKind::kHarness, "harness.jobs",
                      "manifest has no header — not a gpusim jobs manifest")
                 .detail("path", opts_.manifest_path));
-  SIM_CHECK(spec_lines.size() == total,
-            SimError(SimErrorKind::kHarness, "harness.jobs",
-                     "manifest is missing job spec lines")
-                .detail("expected", total)
-                .detail("found", spec_lines.size()));
 
   std::vector<JobSpec> specs;
   std::vector<JobResult> seeded(total);
@@ -749,8 +646,8 @@ JobBatchReport JobManager::resume() {
     r.spec_raw = it->second;
     const auto rit = result_lines.find(i);
     if (rit == result_lines.end()) continue;
-    const std::string& stored = rit->second;
-    const std::string status = extract_string_field(stored, "status");
+    const JournalRecord& stored = *rit->second;
+    const std::string& status = *stored.object.string("status");
     if (status == "ok") {
       r.status = JobStatus::kOk;
     } else if (status == "failed") {
@@ -758,54 +655,33 @@ JobBatchReport JobManager::resume() {
     } else if (status == "quarantined") {
       r.status = JobStatus::kQuarantined;
     } else {
-      warn_torn("carrying an unknown status");
+      manifest.skip(stored.line_no, "carrying an unknown status");
       continue;
     }
-    u64 attempts = 0;
-    extract_u64_field(stored, "attempts", attempts);
-    r.attempts = static_cast<int>(attempts);
-    r.error_kind = extract_string_field(stored, "error_kind");
-    r.error_component = extract_string_field(stored, "error_component");
-    r.error_message = extract_string_field(stored, "error_message");
-    r.reproducer = extract_string_field(stored, "reproducer");
-    r.json = stored;  // replayed verbatim → byte-identical final report
+    const auto text = [&](const char* key) {
+      const std::string* value = stored.object.string(key);
+      return value != nullptr ? *value : std::string();
+    };
+    r.attempts =
+        static_cast<int>(stored.object.unsigned_value("attempts").value_or(0));
+    r.error_kind = text("error_kind");
+    r.error_component = text("error_component");
+    r.error_message = text("error_message");
+    r.reproducer = text("reproducer");
+    if (const std::string* payload = stored.object.raw("payload")) {
+      r.payload_json = *payload;
+    }
+    r.json = stored.text;  // replayed verbatim → byte-identical final report
     r.from_manifest = true;
   }
-  return execute(specs, std::move(seeded));
+  torn_lines_skipped_ = manifest.skipped();
+  return execute(specs, std::move(seeded), manifest);
 }
 
 JobBatchReport JobManager::execute(const std::vector<JobSpec>& specs,
-                                   std::vector<JobResult> seeded) {
+                                   std::vector<JobResult> seeded,
+                                   Journal& manifest) {
   const std::size_t n = specs.size();
-
-  // Manifest append channel: workers push finished-job lines into a bounded
-  // queue; one writer thread appends and flushes them whole, so lines never
-  // interleave and a kill tears at most the line in flight (which resume
-  // skips with a warning).
-  std::ofstream manifest;
-  {
-    bool seal_torn_tail = false;
-    std::ifstream probe(opts_.manifest_path, std::ios::binary);
-    if (probe && probe.seekg(0, std::ios::end) && probe.tellg() > 0) {
-      probe.seekg(-1, std::ios::end);
-      char last = '\n';
-      seal_torn_tail = probe.get(last) && last != '\n';
-    }
-    probe.close();
-    manifest.open(opts_.manifest_path, std::ios::app);
-    SIM_CHECK(manifest.good(),
-              SimError(SimErrorKind::kHarness, "harness.jobs",
-                       "cannot open manifest for append")
-                  .detail("path", opts_.manifest_path));
-    if (seal_torn_tail) manifest << "\n";
-  }
-  ConcurrentBoundedQueue<std::string> lines(64);
-  std::thread writer([&]() {
-    while (auto line = lines.pop()) {
-      manifest << *line << "\n";
-      manifest.flush();
-    }
-  });
 
   // Determinism under parallelism: jobs sharing a config key run in index
   // order (a later one waits until every earlier same-key job is terminal),
@@ -849,14 +725,8 @@ JobBatchReport JobManager::execute(const std::vector<JobSpec>& specs,
            opts_.cancel->load(std::memory_order_relaxed);
   };
 
-  int jobs = opts_.jobs;
-  if (jobs == 0) jobs = std::max(1u, std::thread::hardware_concurrency());
-  jobs = static_cast<int>(
-      std::min<std::size_t>(static_cast<std::size_t>(jobs),
-                            std::max<std::size_t>(pending.size(), 1)));
-
   run_indexed(
-      pending.size(), jobs,
+      pending.size(), opts_.jobs,
       [&](int, std::size_t k) {
         const std::size_t i = pending[k];
         const JobSpec& spec = specs[i];
@@ -907,7 +777,7 @@ JobBatchReport JobManager::execute(const std::vector<JobSpec>& specs,
             std::fprintf(stderr, "gpusim: job %d quarantined (%s)\n",
                          spec.index, spec.raw.c_str());
           }
-          lines.push(r.json);
+          manifest.append(r.json);
           seeded[i] = std::move(r);
           return;
         }
@@ -990,14 +860,10 @@ JobBatchReport JobManager::execute(const std::vector<JobSpec>& specs,
                        spec.index, to_string(r.status), r.attempts,
                        r.attempts == 1 ? "" : "s", spec.raw.c_str());
         }
-        lines.push(r.json);
+        manifest.append(r.json);
         seeded[i] = std::move(r);
       },
       &abort);
-
-  lines.close();
-  writer.join();
-  manifest.close();
 
   JobBatchReport report;
   report.total = static_cast<int>(n);

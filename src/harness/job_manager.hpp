@@ -27,12 +27,13 @@
 //               re-runs only the unfinished jobs and produces a final
 //               report byte-identical to an uninterrupted batch.
 //
-// The *manifest* is the batch's single source of truth: a JSONL file whose
-// header + spec lines pin the batch definition and whose result lines (one
-// complete flushed line per finished job, appended by a dedicated writer
-// thread draining a ConcurrentBoundedQueue) record outcomes.  Resume
-// replays stored result lines verbatim — the same discipline that makes
-// sweep and chaos checkpoints byte-identical under kill/resume.
+// The *manifest* is the batch's single source of truth: a Journal
+// (harness/journal.hpp) whose header + spec lines pin the batch definition
+// and whose result lines — one complete, flushed line appended by each
+// finishing worker — record outcomes (line formats: DESIGN.md §11).
+// Resume replays stored result lines verbatim, the same journal and
+// discipline that make sweep and chaos checkpoints byte-identical under
+// kill/resume.
 //
 // Determinism under parallelism: jobs sharing a config key are serialized
 // in index order (a later job waits until every earlier same-key job is
@@ -210,6 +211,8 @@ struct JobBatchReport {
   int exit_code() const;
 };
 
+class Journal;
+
 class JobManager {
  public:
   explicit JobManager(JobManagerOptions opts);
@@ -232,7 +235,7 @@ class JobManager {
 
  private:
   JobBatchReport execute(const std::vector<JobSpec>& specs,
-                         std::vector<JobResult> seeded);
+                         std::vector<JobResult> seeded, Journal& manifest);
 
   JobManagerOptions opts_;
   int torn_lines_skipped_ = 0;
@@ -243,7 +246,8 @@ class JobManager {
 std::string job_reproducer_command(const JobSpec& spec,
                                    const JobManagerOptions& opts);
 
-/// Atomically writes report.to_json() to `path` (temp file + rename).
+/// Publishes report.to_json() at `path` with write_file_atomic; an
+/// unwritable path raises SimError(kHarness).
 void write_job_report(const std::string& path, const JobBatchReport& report);
 
 }  // namespace gpusim

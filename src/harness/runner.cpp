@@ -1,7 +1,8 @@
 #include "harness/runner.hpp"
 
 #include <algorithm>
-#include <cctype>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -83,18 +84,11 @@ u64 harness_context_of(const RunConfig& rc, const ModelSet& models,
 
 namespace {
 
-/// Snapshot file for one workload: "<dir>/<label>.simstate" with every
-/// character a filesystem might dislike replaced by '_'.
+/// Snapshot file for one workload: "<dir>/<sanitized label>.simstate".
 std::string snapshot_path_for(const std::string& dir,
                               const std::string& label) {
-  std::string name;
-  name.reserve(label.size());
-  for (char c : label) {
-    const bool safe = std::isalnum(static_cast<unsigned char>(c)) != 0 ||
-                      c == '-' || c == '_' || c == '.' || c == '+';
-    name += safe ? c : '_';
-  }
-  return (std::filesystem::path(dir) / (name + ".simstate")).string();
+  return (std::filesystem::path(dir) / (sanitize_file_name(label) +
+                                        ".simstate")).string();
 }
 
 /// Applies the RunConfig's limit fields to one Simulation.  The cycle and
@@ -541,17 +535,26 @@ CoRunResult ExperimentRunner::run(const Workload& workload,
   // return or throw — joins the lane first; it is never detached.  One
   // lane, not a thread per baseline: the live set stays the co-run plus
   // one alone Simulation, as when the baselines ran after the co-run.
+  // The lane has its own stop flag; `stop_lane`, declared after `lane` so
+  // it fires before the future joins, raises it on every exit from run():
+  // a co-run that throws stops the baselines at their next sampling point
+  // rather than waiting for them.
+  std::atomic<bool> lane_stop{false};
   std::future<std::vector<AloneStats>> lane;
   if (!missing.empty()) {
-    lane = std::async(std::launch::async, [this, missing] {
+    RunConfig lane_rc = rc_;
+    lane_rc.cancel = &lane_stop;
+    lane = std::async(std::launch::async, [lane_rc, missing] {
       std::vector<AloneStats> stats;
       stats.reserve(missing.size());
       for (const KernelProfile* app : missing) {
-        stats.push_back(measure_alone_stats(rc_, *app));
+        stats.push_back(measure_alone_stats(lane_rc, *app));
       }
       return stats;
     });
   }
+  const std::unique_ptr<std::atomic<bool>, void (*)(std::atomic<bool>*)>
+      stop_lane(&lane_stop, [](std::atomic<bool>* flag) { *flag = true; });
 
   try {
     if (!snapshotting) {
@@ -630,7 +633,15 @@ CoRunResult ExperimentRunner::run(const Workload& workload,
 
   // A co-run error has propagated by now (the lane's own error, if any,
   // dies with the future); a lane error after a clean co-run surfaces here.
+  // The caller's cancel is forwarded to the lane while this thread waits.
   if (lane.valid()) {
+    while (rc_.cancel != nullptr &&
+           lane.wait_for(std::chrono::milliseconds(10)) !=
+               std::future_status::ready) {
+      if (rc_.cancel->load(std::memory_order_relaxed)) {
+        lane_stop.store(true, std::memory_order_relaxed);
+      }
+    }
     const std::vector<AloneStats> stats = lane.get();
     for (std::size_t k = 0; k < missing.size(); ++k) {
       alone_cache_.emplace(missing[k]->abbr, AloneEntry{*missing[k], stats[k]});

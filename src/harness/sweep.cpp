@@ -3,133 +3,28 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <map>
-#include <mutex>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <utility>
 
+#include "common/json.hpp"
 #include "common/sim_error.hpp"
+#include "harness/journal.hpp"
 #include "harness/worker_pool.hpp"
 
 namespace gpusim {
 
 namespace {
 
-/// %.17g round-trips every double bit-exactly, which the byte-identical
-/// resume guarantee depends on.
-std::string fmt_double(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string escape_json(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// Pulls the string value of a top-level `"key":"value"` field out of a
-/// checkpoint line we wrote ourselves.  Returns empty when absent.
-std::string extract_string_field(const std::string& line,
-                                 const std::string& key) {
-  const std::string needle = "\"" + key + "\":\"";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return "";
-  const auto start = pos + needle.size();
-  const auto end = line.find('"', start);
-  if (end == std::string::npos) return "";
-  return line.substr(start, end - start);
-}
-
-struct CheckpointEntry {
-  bool ok = false;
-  std::string result_json;  ///< verbatim "result" object when ok
-  std::string error;
-};
-
-/// Parses the JSONL checkpoint.  The format is our own append-only output,
-/// so field extraction by position is exact, not heuristic; unparseable
-/// lines (e.g. a torn final line from a crash mid-write) are skipped with a
-/// stderr warning and counted in `torn_lines` — their pair simply re-runs.
-/// The last line for a label wins.
-std::map<std::string, CheckpointEntry> load_checkpoint(
-    const std::string& path, int& torn_lines) {
-  std::map<std::string, CheckpointEntry> entries;
-  std::ifstream in(path);
-  if (!in) return entries;
-  std::string line;
-  int line_no = 0;
-  auto warn_torn = [&](const char* why) {
-    ++torn_lines;
-    std::fprintf(stderr,
-                 "gpusim: sweep checkpoint %s line %d is %s — skipping it; "
-                 "the affected pair will re-run\n",
-                 path.c_str(), line_no, why);
-  };
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;  // seal_torn_tail padding, harmless
-    if (line.back() != '}') {
-      warn_torn("truncated (crash mid-write?)");
-      continue;
-    }
-    const std::string label = extract_string_field(line, "label");
-    if (label.empty()) {
-      warn_torn("missing its label");
-      continue;
-    }
-    CheckpointEntry entry;
-    entry.ok = line.find("\"ok\":true") != std::string::npos;
-    if (entry.ok) {
-      const auto pos = line.find("\"result\":");
-      if (pos == std::string::npos) {
-        warn_torn("marked ok but has no result");
-        continue;
-      }
-      entry.result_json =
-          line.substr(pos + 9, line.size() - (pos + 9) - 1);
-    } else {
-      entry.error = extract_string_field(line, "error");
-    }
-    entries[label] = std::move(entry);
-  }
-  return entries;
-}
-
 std::string checkpoint_line(const SweepEntry& entry) {
-  std::ostringstream ss;
-  ss << "{\"label\":\"" << escape_json(entry.label)
-     << "\",\"ok\":" << (entry.ok ? "true" : "false")
-     << ",\"attempts\":" << entry.attempts;
-  if (entry.ok) {
-    ss << ",\"result\":" << entry.result_json;
-  } else {
-    ss << ",\"error\":\"" << escape_json(entry.error) << "\"";
-  }
-  ss << "}";
-  return ss.str();
+  return "{\"label\":\"" + json_escape(entry.label) + "\",\"ok\":" +
+         (entry.ok ? "true" : "false") +
+         ",\"attempts\":" + std::to_string(entry.attempts) +
+         (entry.ok ? ",\"result\":" + entry.result_json
+                   : ",\"error\":\"" + json_escape(entry.error) + "\"") +
+         "}";
 }
 
 }  // namespace
@@ -151,12 +46,7 @@ SweepRunner::SweepRunner(SweepOptions opts, RunFnFactory factory)
 }
 
 int SweepRunner::effective_jobs(std::size_t n_pending) const {
-  int jobs = opts_.jobs;
-  if (jobs == 0) {
-    jobs = std::max(1u, std::thread::hardware_concurrency());
-  }
-  return static_cast<int>(
-      std::min<std::size_t>(static_cast<std::size_t>(jobs), n_pending));
+  return worker_count(opts_.jobs, n_pending);
 }
 
 SweepEntry SweepRunner::run_one(const RunFn& fn, const Workload& workload) {
@@ -197,11 +87,11 @@ SweepEntry SweepRunner::run_one(const RunFn& fn, const Workload& workload) {
 
 std::string SweepRunner::to_json(const CoRunResult& r) {
   std::ostringstream ss;
-  ss << "{\"label\":\"" << escape_json(r.label) << "\",\"cycles\":" << r.cycles
-     << ",\"unfairness\":" << fmt_double(r.unfairness)
-     << ",\"harmonic_speedup\":" << fmt_double(r.harmonic_speedup)
-     << ",\"wasted_bw_share\":" << fmt_double(r.wasted_bw_share)
-     << ",\"idle_bw_share\":" << fmt_double(r.idle_bw_share)
+  ss << "{\"label\":\"" << json_escape(r.label) << "\",\"cycles\":" << r.cycles
+     << ",\"unfairness\":" << json_number(r.unfairness)
+     << ",\"harmonic_speedup\":" << json_number(r.harmonic_speedup)
+     << ",\"wasted_bw_share\":" << json_number(r.wasted_bw_share)
+     << ",\"idle_bw_share\":" << json_number(r.idle_bw_share)
      << ",\"repartitions\":" << r.repartitions;
   // Anomaly counters ride along only when nonzero, so healthy-run result
   // lines stay byte-identical with earlier checkpoints/baselines (the same
@@ -216,24 +106,24 @@ std::string SweepRunner::to_json(const CoRunResult& r) {
   for (std::size_t i = 0; i < r.apps.size(); ++i) {
     const AppResult& a = r.apps[i];
     if (i != 0) ss << ",";
-    ss << "{\"abbr\":\"" << escape_json(a.abbr)
+    ss << "{\"abbr\":\"" << json_escape(a.abbr)
        << "\",\"instructions\":" << a.instructions
-       << ",\"ipc_shared\":" << fmt_double(a.ipc_shared)
-       << ",\"ipc_alone\":" << fmt_double(a.ipc_alone)
-       << ",\"actual_slowdown\":" << fmt_double(a.actual_slowdown)
+       << ",\"ipc_shared\":" << json_number(a.ipc_shared)
+       << ",\"ipc_alone\":" << json_number(a.ipc_alone)
+       << ",\"actual_slowdown\":" << json_number(a.actual_slowdown)
        << ",\"estimates\":{";
     bool first = true;
     for (const auto& [model, value] : a.estimates) {  // std::map: sorted
       if (!first) ss << ",";
       first = false;
-      ss << "\"" << escape_json(model) << "\":" << fmt_double(value);
+      ss << "\"" << json_escape(model) << "\":" << json_number(value);
     }
     ss << "}}";
   }
   ss << "],\"app_bw_share\":[";
   for (std::size_t i = 0; i < r.app_bw_share.size(); ++i) {
     if (i != 0) ss << ",";
-    ss << fmt_double(r.app_bw_share[i]);
+    ss << json_number(r.app_bw_share[i]);
   }
   ss << "]}";
   return ss.str();
@@ -245,30 +135,28 @@ std::vector<SweepEntry> SweepRunner::run(
   attempts_spent_ = 0;
   torn_lines_skipped_ = 0;
 
-  std::map<std::string, CheckpointEntry> done;
-  std::ofstream checkpoint;
+  // label -> verbatim "result" of the pair's last checkpoint line, when
+  // that line recorded a success (a later failure line re-opens the pair).
+  std::map<std::string, std::string> done;
+  std::optional<Journal> checkpoint;
   if (!opts_.checkpoint_path.empty()) {
-    done = load_checkpoint(opts_.checkpoint_path, torn_lines_skipped_);
-    // A crash mid-write leaves a torn final line with no trailing newline.
-    // Appending straight after it would glue our first new line onto the
-    // fragment, and a later resume would then mis-parse the combined line
-    // (the fragment's label with the new line's payload).  Seal the
-    // fragment onto its own line so it stays skippable forever.
-    bool seal_torn_tail = false;
-    {
-      std::ifstream probe(opts_.checkpoint_path, std::ios::binary);
-      if (probe && probe.seekg(0, std::ios::end) && probe.tellg() > 0) {
-        probe.seekg(-1, std::ios::end);
-        char last = '\n';
-        seal_torn_tail = probe.get(last) && last != '\n';
+    checkpoint.emplace(opts_.checkpoint_path, "sweep checkpoint", "pair",
+                       "harness.sweep");
+    for (const JournalRecord& rec : checkpoint->records()) {
+      const std::string* label = rec.object.string("label");
+      const std::string* ok = rec.object.raw("ok");
+      const std::string* result = rec.object.raw("result");
+      if (label == nullptr || label->empty()) {
+        checkpoint->skip(rec.line_no, "missing its label");
+      } else if (ok == nullptr || *ok != "true") {
+        done.erase(*label);
+      } else if (result == nullptr) {
+        checkpoint->skip(rec.line_no, "marked ok but has no result");
+      } else {
+        done[*label] = *result;
       }
     }
-    checkpoint.open(opts_.checkpoint_path, std::ios::app);
-    SIM_CHECK(checkpoint.good(),
-              SimError(SimErrorKind::kHarness, "harness.sweep",
-                       "cannot open checkpoint file for append")
-                  .detail("path", opts_.checkpoint_path));
-    if (seal_torn_tail) checkpoint << "\n";
+    torn_lines_skipped_ = checkpoint->skipped();
   }
 
   // Replay checkpointed pairs and collect the still-pending workload
@@ -282,10 +170,10 @@ std::vector<SweepEntry> SweepRunner::run(
     SweepEntry& entry = entries[i];
     entry.label = workloads[i].label();
     const auto it = done.find(entry.label);
-    if (it != done.end() && it->second.ok) {
+    if (it != done.end()) {
       entry.ok = true;
       entry.from_checkpoint = true;
-      entry.result_json = it->second.result_json;
+      entry.result_json = it->second;
       ++resumed_;
     } else {
       pending.push_back(i);
@@ -293,110 +181,55 @@ std::vector<SweepEntry> SweepRunner::run(
   }
 
   const int jobs = effective_jobs(pending.size());
-  std::mutex checkpoint_mu;  // guards `checkpoint` appends
-  auto commit = [&](const SweepEntry& entry) {
-    if (!checkpoint.is_open()) return;
-    // One complete line per finished pair, flushed before the worker picks
-    // up its next pair, so a crash at any point loses at most the pairs in
-    // progress.  The mutex spans format + write: lines never interleave.
-    const std::string line = checkpoint_line(entry);
-    std::lock_guard<std::mutex> lock(checkpoint_mu);
-    checkpoint << line << "\n";
-    checkpoint.flush();
-  };
 
-  // Workers claim pending indices through the shared pool (worker_pool.hpp;
-  // jobs <= 1 runs inline with no threads).  Each worker owns its RunFn.
-  // Under fail_fast a failure raises `abort`; in-progress pairs finish
-  // (and checkpoint) but no new pair starts, then the lowest-index failure
-  // is rethrown after the join so the error is deterministic.
+  // Workers claim pending indices through the shared pool (worker_pool.hpp),
+  // each with its own RunFn, and every finished pair appends one flushed
+  // checkpoint line before its worker claims the next, so a crash loses at
+  // most the pairs in progress.  A cancel, a fail_fast failure or a
+  // sweep-fatal error (interrupt, deadline, failed append) stops new
+  // claims; in-flight pairs finish, and the pool rethrows the lowest-index
+  // error.  A sweep-fatal pair is never committed, so a resume re-runs it.
   const int n_fns = std::max(1, jobs);
   std::vector<RunFn> fns;
   fns.reserve(n_fns);
   for (int w = 0; w < n_fns; ++w) fns.push_back(factory_());
 
-  std::atomic<int> attempts_total{0};
-  std::atomic<bool> abort{false};
-  std::mutex failure_mu;
-  std::size_t first_failed = workloads.size();  // min failed workload index
-  std::size_t fatal_index = workloads.size();   // min sweep-fatal index
-  std::exception_ptr fatal;                     // kInterrupted / kDeadline…
-
   run_indexed(
       pending.size(), jobs,
       [&](int w, std::size_t k) {
         const std::size_t i = pending[k];
-        // Graceful shutdown: drain — claimed-but-not-started pairs are
-        // simply left pending for the next resume.
-        if (opts_.cancel != nullptr &&
-            opts_.cancel->load(std::memory_order_relaxed)) {
-          abort.store(true, std::memory_order_relaxed);
-          return;
-        }
-        SweepEntry entry;
-        try {
-          entry = run_one(fns[w], workloads[i]);
-        } catch (...) {
-          // Sweep-fatal (interrupt / deadline): record the lowest-index
-          // one and stop claiming; the pair is NOT committed to the
-          // checkpoint, so a resume re-runs it.
-          std::lock_guard<std::mutex> lock(failure_mu);
-          if (i < fatal_index) {
-            fatal_index = i;
-            fatal = std::current_exception();
-          }
-          abort.store(true, std::memory_order_relaxed);
-          return;
-        }
-        attempts_total.fetch_add(entry.attempts, std::memory_order_relaxed);
-        commit(entry);
-        if (!entry.ok && opts_.fail_fast) {
-          std::lock_guard<std::mutex> lock(failure_mu);
-          first_failed = std::min(first_failed, i);
-          abort.store(true, std::memory_order_relaxed);
-        }
-        entries[i] = std::move(entry);
+        SweepEntry& entry = entries[i];
+        entry = run_one(fns[w], workloads[i]);
+        std::atomic_ref<int>(attempts_spent_)
+            .fetch_add(entry.attempts, std::memory_order_relaxed);
+        if (checkpoint) checkpoint->append(checkpoint_line(entry));
+        SIM_CHECK(entry.ok || !opts_.fail_fast,
+                  SimError(SimErrorKind::kHarness, "harness.sweep",
+                           "workload pair failed and fail_fast is set")
+                      .detail("workload", entry.label)
+                      .detail("attempts", entry.attempts)
+                      .detail("last_error", entry.error));
       },
-      &abort);
-  attempts_spent_ += attempts_total.load();
-
-  if (fatal) std::rethrow_exception(fatal);
-  if (opts_.fail_fast && first_failed < workloads.size()) {
-    const SweepEntry& entry = entries[first_failed];
-    SIM_FAIL(SimError(SimErrorKind::kHarness, "harness.sweep",
-                      "workload pair failed and fail_fast is set")
-                 .detail("workload", entry.label)
-                 .detail("attempts", entry.attempts)
-                 .detail("last_error", entry.error));
-  }
+      opts_.cancel);
   return entries;
+}
+
+std::string SweepRunner::entry_json(const SweepEntry& entry) {
+  if (entry.ok) return entry.result_json;
+  return "{\"label\":\"" + json_escape(entry.label) +
+         "\",\"failed\":true,\"error\":\"" + json_escape(entry.error) +
+         "\"}";
 }
 
 void SweepRunner::write_results(const std::string& path,
                                 const std::vector<SweepEntry>& entries) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    SIM_CHECK(out.good(), SimError(SimErrorKind::kHarness, "harness.sweep",
-                                   "cannot open results file for writing")
-                              .detail("path", tmp));
-    out << "{\"results\":[\n";
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      const SweepEntry& entry = entries[i];
-      if (entry.ok) {
-        out << entry.result_json;
-      } else {
-        out << "{\"label\":\"" << escape_json(entry.label)
-            << "\",\"failed\":true,\"error\":\"" << escape_json(entry.error)
-            << "\"}";
-      }
-      out << (i + 1 < entries.size() ? ",\n" : "\n");
-    }
-    out << "]}\n";
+  std::string out = "{\"results\":[\n";
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    out += entry_json(entries[i]);
+    out += i + 1 < entries.size() ? ",\n" : "\n";
   }
-  // Atomic publish: readers see either the old results or the new ones,
-  // never a truncated file.
-  std::filesystem::rename(tmp, path);
+  out += "]}\n";
+  write_file_atomic(path, {out}, SimErrorKind::kHarness, "harness.sweep");
 }
 
 }  // namespace gpusim

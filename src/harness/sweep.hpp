@@ -1,14 +1,15 @@
-// SimGuard crash-safe sweep runner, parallel since PR 2.
+// SimGuard crash-safe parallel sweep runner.
 //
 // The paper's headline experiments iterate all 105 two-application
 // workload pairs for millions of cycles each; a crash (or an injected
 // fault, or an operator Ctrl-C) hours in used to throw the whole sweep
-// away.  SweepRunner checkpoints every finished pair as one JSONL line,
-// flushed before the next pair starts, so a restarted sweep skips
-// completed pairs and re-runs only the missing ones.  Completed results
-// are replayed verbatim from the checkpoint, and the final results file is
-// assembled in workload order from those stored lines — an interrupted +
-// resumed sweep produces a byte-identical file to an uninterrupted one.
+// away.  SweepRunner checkpoints every finished pair as one line of a
+// Journal (harness/journal.hpp), flushed before the next pair starts, so a
+// restarted sweep skips completed pairs and re-runs only the missing ones.
+// Completed results are replayed verbatim from the checkpoint, and the
+// final results file is assembled in workload order from those stored
+// objects — an interrupted + resumed sweep produces a byte-identical file
+// to an uninterrupted one.
 //
 // Pairs that throw (SimError or anything else) are retried up to
 // `max_attempts` times with linear backoff; a pair that keeps failing is
@@ -21,9 +22,10 @@
 // RunFnFactory).  Determinism is preserved by construction:
 //   - each pair's result depends only on the workload, never on which
 //     thread ran it or when;
-//   - finished pairs append to the checkpoint under a mutex, one complete
-//     line per pair — line *order* varies across runs, but resume loads
-//     the checkpoint into a label-keyed map, so order never matters;
+//   - finished pairs append to the checkpoint under the journal's mutex,
+//     one complete line per pair — line *order* varies across runs, but
+//     resume loads the checkpoint into a label-keyed map, so order never
+//     matters;
 //   - the final entry vector is assembled by workload index after all
 //     workers join, making write_results() byte-identical for every jobs
 //     value, interrupted or not.
@@ -112,12 +114,16 @@ class SweepRunner {
   /// mid-write.  The affected pairs re-run.
   int torn_lines_skipped() const { return torn_lines_skipped_; }
 
-  /// Writes the final results file: a JSON array of the per-pair result
-  /// objects in entry order (failed pairs appear as {"label":…,"failed":
-  /// true,"error":…}).  Written via a temp file + rename so a crash never
-  /// leaves a truncated results file.
+  /// Writes the final results file: a JSON array of the per-pair
+  /// entry_json() objects in entry order.  Published with
+  /// write_file_atomic, so a crash never leaves a truncated results file;
+  /// an unwritable path raises SimError(kHarness).
   static void write_results(const std::string& path,
                             const std::vector<SweepEntry>& entries);
+
+  /// One entry's results-file object: the stored result when ok, else
+  /// {"label":…,"failed":true,"error":…}.
+  static std::string entry_json(const SweepEntry& entry);
 
   /// Deterministic serialization of one co-run result (doubles printed
   /// with %.17g so they round-trip bit-exactly).

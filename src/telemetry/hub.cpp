@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <limits>
 #include <sstream>
 
+#include "common/json.hpp"
 #include "common/sim_error.hpp"
 #include "gpu/gpu.hpp"
 #include "mem/dram.hpp"
@@ -16,65 +15,6 @@
 #include "telemetry/registry.hpp"
 
 namespace gpusim {
-
-namespace {
-
-std::string fmt_double(double v) { return MetricsRegistry::fmt(v); }
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// Atomic publish: write `<path>.tmp`, fsync-free rename over the target.
-/// Parent directories are created on demand so batch modes can point all
-/// units at one fresh directory.
-void atomic_write(const std::string& path, const std::string& content) {
-  const std::filesystem::path target(path);
-  std::error_code ec;
-  if (target.has_parent_path()) {
-    std::filesystem::create_directories(target.parent_path(), ec);
-  }
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    SIM_CHECK(out.good(), SimError(SimErrorKind::kHarness, "telemetry.hub",
-                                   "cannot open telemetry file for writing")
-                              .detail("path", tmp));
-    out << content;
-    out.flush();
-    SIM_CHECK(out.good(), SimError(SimErrorKind::kHarness, "telemetry.hub",
-                                   "short write while flushing telemetry")
-                              .detail("path", tmp));
-  }
-  std::filesystem::rename(tmp, target, ec);
-  SIM_CHECK(!ec, SimError(SimErrorKind::kHarness, "telemetry.hub",
-                          "atomic rename of telemetry file failed")
-                     .detail("from", tmp)
-                     .detail("to", path)
-                     .detail("error", ec.message()));
-}
-
-}  // namespace
 
 void TelemetryHub::on_interval(const IntervalSample& sample, Gpu& gpu) {
   ++epochs_seen_;
@@ -251,7 +191,7 @@ double interval_actual_slowdown(const TelemetryAppSample& a,
 
 void append_number_or_null(std::ostringstream& ss, double v) {
   if (std::isfinite(v)) {
-    ss << fmt_double(v);
+    ss << json_number(v);
   } else {
     ss << "null";
   }
@@ -303,12 +243,12 @@ void write_telemetry_jsonl(const std::string& path, const TelemetryHub& hub,
        << ",\"governor_interventions_delta\":"
        << (r.governor_interventions - p_gov)
        << ",\"dram_requests_delta\":" << (r.dram_requests - p_req)
-       << ",\"dram_bw_util\":" << fmt_double(bw_util)
+       << ",\"dram_bw_util\":" << json_number(bw_util)
        << ",\"dram_row_hit_rate\":";
     if (d_hits + d_miss == 0) {
       ss << "null";
     } else {
-      ss << fmt_double(static_cast<double>(d_hits) /
+      ss << json_number(static_cast<double>(d_hits) /
                        static_cast<double>(d_hits + d_miss));
     }
     ss << ",\"resp_queue_high_water\":[";
@@ -325,12 +265,12 @@ void write_telemetry_jsonl(const std::string& path, const TelemetryHub& hub,
       ss << (i ? "," : "") << "{\"app\":\""
          << (i < ctx.apps.size() ? json_escape(ctx.apps[i]) : std::to_string(i))
          << "\",\"sms\":" << a.num_sms << ",\"instructions\":" << a.instructions
-         << ",\"ipc\":" << fmt_double(ipc)
-         << ",\"alpha\":" << fmt_double(a.alpha) << ",\"l2_miss_rate\":";
+         << ",\"ipc\":" << json_number(ipc)
+         << ",\"alpha\":" << json_number(a.alpha) << ",\"l2_miss_rate\":";
       if (a.l2_accesses == 0) {
         ss << "null";
       } else {
-        ss << fmt_double(1.0 - static_cast<double>(a.l2_hits) /
+        ss << json_number(1.0 - static_cast<double>(a.l2_hits) /
                                    static_cast<double>(a.l2_accesses));
       }
       const double actual = interval_actual_slowdown(a, r, ctx, i);
@@ -343,7 +283,7 @@ void write_telemetry_jsonl(const std::string& path, const TelemetryHub& hub,
                                          : std::to_string(e))
            << "\":";
         if (a.estimates[e].valid) {
-          ss << fmt_double(a.estimates[e].slowdown);
+          ss << json_number(a.estimates[e].slowdown);
         } else {
           ss << "null";
         }
@@ -365,7 +305,8 @@ void write_telemetry_jsonl(const std::string& path, const TelemetryHub& hub,
     ss << "]}\n";
     prev = &r;
   }
-  atomic_write(path, ss.str());
+  write_file_atomic(path, {ss.str()}, SimErrorKind::kHarness,
+                    "telemetry.hub");
 }
 
 namespace {
@@ -447,12 +388,12 @@ void write_trace_json(const std::string& path, const TelemetryHub& hub,
          << (kTidAppBase + static_cast<int>(i)) << ",\"ts\":" << r.start
          << ",\"dur\":" << r.length << ",\"name\":\"epoch " << r.epoch
          << "\",\"args\":{\"sms\":" << a.num_sms
-         << ",\"ipc\":" << fmt_double(ipc);
+         << ",\"ipc\":" << json_number(ipc);
       for (std::size_t e = 0;
            e < a.estimates.size() && e < ctx.estimators.size(); ++e) {
         if (!a.estimates[e].valid) continue;
         ss << ",\"est_" << json_escape(ctx.estimators[e])
-           << "\":" << fmt_double(a.estimates[e].slowdown);
+           << "\":" << json_number(a.estimates[e].slowdown);
       }
       ss << "}}";
     }
@@ -525,7 +466,8 @@ void write_trace_json(const std::string& path, const TelemetryHub& hub,
   }
 
   ss << "\n]}\n";
-  atomic_write(path, ss.str());
+  write_file_atomic(path, {ss.str()}, SimErrorKind::kHarness,
+                    "telemetry.hub");
 }
 
 void collect_metrics(MetricsRegistry& reg, const TelemetryHub& hub,
@@ -682,7 +624,8 @@ void write_metrics_prom(const std::string& path, const TelemetryHub& hub,
   collect_metrics(reg, hub, gpu, ctx);
   std::ostringstream ss;
   reg.render(ss);
-  atomic_write(path, ss.str());
+  write_file_atomic(path, {ss.str()}, SimErrorKind::kHarness,
+                    "telemetry.hub");
 }
 
 void flush_telemetry(const TelemetryHub& hub, const Gpu& gpu,

@@ -13,14 +13,14 @@
 // Rendering follows the Prometheus text exposition format: one `# HELP` /
 // `# TYPE` pair per metric family (emitted at the family's first registered
 // sample), then one sample line per (name, labels) pair, doubles printed
-// with %.17g so round-tripping is exact.
+// with json_number (%.17g) so round-tripping is exact.
 #pragma once
 
-#include <cstdio>
 #include <ostream>
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/types.hpp"
 
 namespace gpusim {
@@ -99,25 +99,21 @@ class MetricsRegistry {
         for (std::size_t i = 0; i < m.bounds.size(); ++i) {
           cumulative += m.bucket_counts[i];
           out << m.name << "_bucket{" << m.labels << (m.labels.empty() ? "" : ",")
-              << "le=\"" << fmt(m.bounds[i]) << "\"} " << cumulative << "\n";
+              << "le=\"" << json_number(m.bounds[i]) << "\"} " << cumulative
+              << "\n";
         }
         cumulative += m.bucket_counts[m.bounds.size()];
         out << m.name << "_bucket{" << m.labels << (m.labels.empty() ? "" : ",")
             << "le=\"+Inf\"} " << cumulative << "\n";
-        out << m.name << "_sum" << braced(m.labels) << " " << fmt(m.sum) << "\n";
+        out << m.name << "_sum" << braced(m.labels) << " "
+            << json_number(m.sum) << "\n";
         out << m.name << "_count" << braced(m.labels) << " " << m.observations
             << "\n";
       } else {
-        out << m.name << braced(m.labels) << " " << fmt(m.value) << "\n";
+        out << m.name << braced(m.labels) << " " << json_number(m.value)
+            << "\n";
       }
     }
-  }
-
-  /// %.17g rendering shared with the JSONL writers: shortest exact form.
-  static std::string fmt(double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
   }
 
  private:

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/fault_injection.hpp"
+#include "common/sim_error.hpp"
 #include "harness/chaos.hpp"
 #include "kernels/workload_sets.hpp"
 
@@ -139,6 +140,24 @@ TEST(ChaosCampaignTest, ResumedCampaignReproducesTheReportByteForByte) {
   EXPECT_EQ(resumed.resumed, 3);
   EXPECT_EQ(resumed.to_json(), expected);
   std::remove(ckpt.c_str());
+}
+
+TEST(ChaosCampaignTest, ReportPathThatIsADirectoryIsATypedError) {
+  const std::filesystem::path dir = temp_path("chaos_report_dir");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir / "keep");
+  ChaosOptions opts = small_campaign();
+  opts.schedules = 1;
+  const ChaosReport report = run_chaos_campaign(opts);
+  try {
+    write_chaos_report(dir.string(), report);
+    ADD_FAILURE() << "write_chaos_report replaced a directory";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimErrorKind::kHarness) << e.what();
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir.string() + ".tmp"));
+  EXPECT_TRUE(std::filesystem::is_directory(dir / "keep"));
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -386,6 +387,50 @@ TEST_F(JobManagerTest, TornManifestLinesAreSkippedAndReRun) {
   EXPECT_EQ(resumed.torn_lines_skipped(), 1);
   EXPECT_EQ(second.ok, 2);  // the torn job re-ran
   EXPECT_EQ(second.to_json(), first.to_json());
+}
+
+TEST_F(JobManagerTest, EscapedSpecRoundTripsThroughTheManifest) {
+  // A form feed separates tokens like any whitespace.  The manifest stores
+  // it as \u000c, and resume must decode it back to the same spec.
+  const std::string file = path("ff.jobs");
+  {
+    std::ofstream out(file);
+    out << "run apps=SD,SA\fcycles=5000\n";
+  }
+  JobManager fresh(options("ff.manifest.jsonl"));
+  const JobBatchReport first = fresh.run(parse_job_file(file));
+  ASSERT_EQ(first.ok, 1);
+  EXPECT_EQ(first.jobs[0].spec_raw, "run apps=SD,SA\fcycles=5000");
+
+  JobManager resumed(options("ff.manifest.jsonl"));
+  const JobBatchReport second = resumed.resume();
+  EXPECT_EQ(resumed.torn_lines_skipped(), 0);
+  ASSERT_EQ(second.ok, 1);
+  EXPECT_TRUE(second.jobs[0].from_manifest);
+  EXPECT_EQ(second.jobs[0].spec_raw, first.jobs[0].spec_raw);
+  EXPECT_EQ(second.jobs[0].payload_json, first.jobs[0].payload_json);
+  write_job_report(path("first.json"), first);
+  write_job_report(path("second.json"), second);
+  std::ifstream a(path("first.json")), b(path("second.json"));
+  const std::string first_bytes((std::istreambuf_iterator<char>(a)),
+                                std::istreambuf_iterator<char>());
+  const std::string second_bytes((std::istreambuf_iterator<char>(b)),
+                                 std::istreambuf_iterator<char>());
+  EXPECT_FALSE(first_bytes.empty());
+  EXPECT_EQ(first_bytes, second_bytes);
+}
+
+TEST_F(JobManagerTest, ReportPathThatIsADirectoryIsATypedError) {
+  fs::create_directories(dir_ / "report" / "keep");
+  JobBatchReport report;
+  try {
+    write_job_report(path("report"), report);
+    ADD_FAILURE() << "write_job_report replaced a directory";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimErrorKind::kHarness) << e.what();
+  }
+  EXPECT_FALSE(fs::exists(path("report.tmp")));
+  EXPECT_TRUE(fs::is_directory(dir_ / "report" / "keep"));
 }
 
 }  // namespace

@@ -284,6 +284,35 @@ TEST(AloneLaneFailureTest, CoRunErrorWinsAndLeavesRunnerUsable) {
   }
 }
 
+TEST(AloneLaneFailureTest, EarlyCoRunFailureStopsTheLane) {
+  // Long baselines beside a co-run its cycle budget kills almost at once.
+  RunConfig rc = lane_config(RunConfig::AloneMode::kCachedIpc);
+  rc.co_run_cycles = 300'000;
+  rc.cycle_budget = 2'000;
+  const Workload w{{*find_app("VA"), *find_app("SD")}};
+  using Clock = std::chrono::steady_clock;
+
+  // Reference, timed on this machine in this run: one of the two baselines
+  // the lane would measure.
+  ExperimentRunner reference(rc);
+  const Clock::time_point t0 = Clock::now();
+  reference.alone_stats(w.apps[1]);
+  const Clock::duration one_baseline = Clock::now() - t0;
+
+  // A lane that ignored the co-run's failure would hold run() for both
+  // baselines; a stopped lane returns well inside one.
+  ExperimentRunner runner(rc);
+  const Clock::time_point t1 = Clock::now();
+  failure_of(runner, w, SimErrorKind::kBudgetExceeded);
+  const Clock::duration failed_after = Clock::now() - t1;
+  EXPECT_LT(failed_after, one_baseline / 2)
+      << "run() returned after "
+      << std::chrono::duration<double>(failed_after).count()
+      << " s; one baseline takes "
+      << std::chrono::duration<double>(one_baseline).count() << " s";
+  EXPECT_EQ(runner.alone_runs(), 0u);
+}
+
 TEST(AloneLaneFailureTest, SetCancelFlagInterruptsWithoutLeavingThreads) {
   for (const RunConfig::AloneMode mode :
        {RunConfig::AloneMode::kCachedIpc,

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <mutex>
@@ -545,6 +546,25 @@ TEST(SweepRunnerParallelTest, WorkersOverlapInTime) {
   });
   sweep.run(workloads);
   EXPECT_GE(max_in_flight.load(), 2);
+}
+
+TEST(SweepRunnerTest, ResultsPathThatIsADirectoryIsATypedError) {
+  // An existing non-empty directory cannot be replaced by the results
+  // file: a typed kHarness error (CLI exit 3), and no temp file behind.
+  const std::filesystem::path dir = temp_path("results_dir");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir / "keep");
+  SweepRunner sweep(SweepOptions{}, fake_result);
+  const std::vector<SweepEntry> entries = sweep.run(first_workloads(1));
+  try {
+    SweepRunner::write_results(dir.string(), entries);
+    ADD_FAILURE() << "write_results replaced a directory";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimErrorKind::kHarness) << e.what();
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir.string() + ".tmp"));
+  EXPECT_TRUE(std::filesystem::is_directory(dir / "keep"));
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

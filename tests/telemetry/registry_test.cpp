@@ -103,13 +103,14 @@ TEST(MetricsRegistryTest, HistogramBucketsAreCumulativeWithInf) {
 }
 
 TEST(MetricsRegistryTest, FmtRoundTripsDoublesExactly) {
-  // %.17g guarantees strtod(fmt(v)) == v bit-for-bit; the byte-identity
-  // gates depend on that (two runs at the same state → the same text).
+  // The registry renders with json_number (%.17g), which guarantees
+  // strtod(json_number(v)) == v bit-for-bit; the byte-identity gates depend
+  // on that (two runs at the same state → the same text).
   for (const double v : {0.1, 1.0 / 3.0, 12345.678901234567, 1e-300, 0.0}) {
-    const std::string s = MetricsRegistry::fmt(v);
+    const std::string s = json_number(v);
     EXPECT_EQ(std::strtod(s.c_str(), nullptr), v) << s;
   }
-  EXPECT_EQ(MetricsRegistry::fmt(1.0), "1");
+  EXPECT_EQ(json_number(1.0), "1");
 }
 
 }  // namespace

@@ -27,13 +27,16 @@ TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
 cat > "$TMP/batch.jobs" <<'EOF'
-# mixed batch: two runs, a random sweep slice, a small chaos campaign
+# mixed batch: runs, a random sweep slice, a small chaos campaign
 run apps=SD,SA cycles=60000
 run apps=VA,CT policy=dase-fair cycles=60000
 sweep which=random:3 cycles=30000
 chaos schedules=3 seed=7 cycles=20000
 run apps=AA,SD cycles=60000
 EOF
+# A spec whose tokens are separated by a form feed: the manifest stores it
+# escaped (\u000c), and resume must read it back to the same spec.
+printf 'run apps=SD,SA\fcycles=30000\n' >> "$TMP/batch.jobs"
 
 echo "== batch runs to completion, serial"
 "$CLI" --job-file "$TMP/batch.jobs" --manifest "$TMP/ref.jsonl" \
