@@ -46,18 +46,23 @@ class PriorityEpochDriver final : public CycleHook {
                                cfg.estimation_interval / 20, num_apps);
   }
 
-  void on_cycle(Cycle now, Gpu& gpu) override {
+  /// The next cycle at or after `now` whose priority differs from the one
+  /// in force: `now` itself when the driver is out of step (first call,
+  /// restore), otherwise the next epoch or window boundary.  Adjacent
+  /// segments of a window always differ, so every boundary is an event.
+  Cycle next_event_after(Cycle now, const Gpu&) const override {
+    if (priority_at(now) != current_) return now;
     const Cycle pos = now % interval_;
-    const Cycle epochs_begin =
-        interval_ - epoch_length_ * static_cast<Cycle>(num_apps_);
-    AppId want = kInvalidApp;
-    if (pos >= epochs_begin) {
-      want = static_cast<AppId>((pos - epochs_begin) / epoch_length_);
-    }
-    if (want != current_) {
-      gpu.set_priority_app(want);
-      current_ = want;
-    }
+    const Cycle window_start = now - pos;
+    const Cycle begin = epochs_begin();
+    if (pos < begin) return window_start + begin;
+    return window_start + begin +
+           ((pos - begin) / epoch_length_ + 1) * epoch_length_;
+  }
+
+  void fire(Cycle now, Gpu& gpu) override {
+    current_ = priority_at(now);
+    gpu.set_priority_app(current_);
   }
 
   void save_state(StateWriter& w) const override { write_hook_state(w); }
@@ -68,6 +73,16 @@ class PriorityEpochDriver final : public CycleHook {
   }
 
  private:
+  Cycle epochs_begin() const {
+    return interval_ - epoch_length_ * static_cast<Cycle>(num_apps_);
+  }
+  /// The app holding priority at `now` (kInvalidApp outside the epochs).
+  AppId priority_at(Cycle now) const {
+    const Cycle pos = now % interval_;
+    if (pos < epochs_begin()) return kInvalidApp;
+    return static_cast<AppId>((pos - epochs_begin()) / epoch_length_);
+  }
+
   template <typename Sink>
   void write_hook_state(Sink& s) const {
     s.put_tag("EPCH");

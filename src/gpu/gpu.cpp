@@ -1,5 +1,6 @@
 #include "gpu/gpu.hpp"
 
+#include <bit>
 #include <sstream>
 
 namespace gpusim {
@@ -103,8 +104,8 @@ void Gpu::set_partition(const std::vector<AppId>& desired) {
                   .detail("num_apps", num_apps()));
   }
   // Repartitioning reassigns SM owners (which changes whose counters the
-  // bulk accruals feed) and may leave a pending migration that pins the
-  // per-cycle path — settle and invalidate the engine first.
+  // bulk accruals feed) and starts drains — settle and invalidate the
+  // engine first.
   sync_all_to(now_);
   engine_dirty_ = true;
   u64 changing = 0;
@@ -125,8 +126,6 @@ std::vector<AppId> Gpu::current_partition() const {
   return out;
 }
 
-bool Gpu::migration_in_progress() const { return migration_pending_; }
-
 int Gpu::sms_assigned(AppId app) const {
   int n = 0;
   for (const auto& sm : sms_) n += sm->app() == app ? 1 : 0;
@@ -136,8 +135,11 @@ int Gpu::sms_assigned(AppId app) const {
 void Gpu::set_priority_app(AppId app) {
   // The priority app feeds the controllers' per-cycle accounting
   // classification; settle owed bulk accruals under the old priority so a
-  // sleeping controller's skip window never straddles the flip.
+  // sleeping controller's skip window never straddles the flip.  Waking
+  // everything keeps the engine exact should a partition's quiet test ever
+  // consult the priority-filtered candidate set (DESIGN.md §12).
   sync_all_to(now_);
+  engine_dirty_ = true;
   for (auto& p : partitions_) p->mc().set_priority_app(app);
 }
 
@@ -238,14 +240,17 @@ void Gpu::rebuild_engine_state() {
 }
 
 void Gpu::cycle_engine() {
-  // Same phase order as cycle_full(), with the injector/migration hooks
-  // compiled out (engine_enabled() excludes both) and every phase gated on
+  // Same phase order as cycle_full(), with the injector hooks compiled out
+  // (engine_enabled() excludes an injector) and every phase gated on
   // tracked activity.  A component skipped here is provably quiet: its
   // cycle() would only have accrued counters, which sync_*_to() settles in
   // one lump when it wakes.
 
   // 1. SMs due this cycle: settle owed accruals, deliver matured responses,
-  //    advance, then re-arm the wake cycle.
+  //    advance, then re-arm the wake cycle.  Only an SM advanced here can
+  //    finish a drain, and phase 2 cannot finish one (every queued request
+  //    holds an L1 MSHR entry), so finished drains are noted here.
+  u64 drained_mask = 0;
   for (int s = 0; s < cfg_.num_sms; ++s) {
     if (sm_wake_[s] > now_) continue;
     sync_sm_to(s, now_);
@@ -268,6 +273,9 @@ void Gpu::cycle_engine() {
     const AppId app = sms_[s]->app();
     if (app != kInvalidApp) sm_cycles_.add(app);
     sm_synced_[s] = now_ + 1;
+    if (sms_[s]->draining() && sms_[s]->drained()) {
+      drained_mask |= u64{1} << s;
+    }
     // Sleep decision: quiet_at() on the post-cycle state proves every
     // cycle before the next local event or deliverable response is a
     // pure-accounting no-op for this SM.
@@ -346,6 +354,16 @@ void Gpu::cycle_engine() {
           sm_wake_[s] = arrive;
         }
       }
+    }
+  }
+
+  // 5. Hand over the SMs whose drain finished, as cycle_full() does.  Each
+  //    was advanced in phase 1, so its accruals are settled through this
+  //    cycle under the old owner; the new owner wakes next cycle.
+  if (drained_mask != 0) {
+    progress_migration();
+    for (u64 m = drained_mask; m != 0; m &= m - 1) {
+      sm_wake_[std::countr_zero(m)] = now_ + 1;
     }
   }
 
@@ -465,59 +483,30 @@ void Gpu::run(Cycle cycles) {
 }
 
 Cycle Gpu::dead_cycles_until(Cycle max_skip) const {
-  // A fault injector hooks individual cycles (stall windows, nth-event
-  // drops), and a pending migration re-polls drained() every cycle — both
-  // need the full per-cycle path.
-  if (max_skip == 0 || injector_ != nullptr || migration_pending_) return 0;
-
-  if (engine_enabled() && !engine_dirty_) {
-    // The engine already maintains every component's next event as its
-    // wake cycle, so the probe is a scan of two small arrays.  A component
-    // due now (or pending request traffic, whose SM is due by invariant)
-    // means this cycle may do real work.
-    if (req_src_mask_ != 0) return 0;
-    Cycle next = now_ + max_skip;
-    for (int s = 0; s < cfg_.num_sms; ++s) {
-      if (sm_wake_[s] <= now_) return 0;
-      next = std::min(next, sm_wake_[s]);
-    }
-    for (int p = 0; p < cfg_.num_partitions; ++p) {
-      if (part_wake_[p] <= now_) return 0;
-      next = std::min(next, part_wake_[p]);
-    }
-    return next - now_;
+  // The engine keeps every component's next event as its wake cycle.  A
+  // component due now (or pending request traffic, whose SM is due by
+  // invariant) means this cycle may do real work.  Off the engine nothing
+  // is skipped: that path is the per-cycle reference walk.
+  if (max_skip == 0 || !engine_enabled() || engine_dirty_ ||
+      req_src_mask_ != 0) {
+    return 0;
   }
-
   Cycle next = now_ + max_skip;
   for (int s = 0; s < cfg_.num_sms; ++s) {
-    if (!sms_[s]->quiet_at(now_)) return 0;
-    const auto& rq = resp_net_.dest_queue(s);
-    if (!rq.empty()) {
-      if (rq.front().ready <= now_) return 0;
-      next = std::min(next, rq.front().ready);
-    }
-    next = std::min(next, sms_[s]->next_local_event());
+    if (sm_wake_[s] <= now_) return 0;
+    next = std::min(next, sm_wake_[s]);
   }
   for (int p = 0; p < cfg_.num_partitions; ++p) {
-    const auto& inq = req_net_.dest_queue(p);
-    if (!partitions_[p]->quiet_at(now_, inq)) return 0;
-    next = std::min(next, partitions_[p]->next_event_after(now_, inq));
+    if (part_wake_[p] <= now_) return 0;
+    next = std::min(next, part_wake_[p]);
   }
-  // Quietness guarantees every head-of-line timestamp above is > now_.
   return next - now_;
 }
 
 void Gpu::skip_dead_cycles(Cycle n) {
+  // Every component sleeps past now_ + n and settles its owed accruals at
+  // its next wake (or observation), so the jump only moves the clock.
   ProfScope prof(profiler_, LoopProfiler::kFastForward, n);
-  if (engine_enabled() && !engine_dirty_) {
-    // Every component sleeps past now_ + n, so their owed accruals are
-    // settled lazily at their next wake (or observation) — the jump itself
-    // only moves the clock.
-    now_ += n;
-    fast_forwarded_ += n;
-    return;
-  }
-  sync_all_to(now_ + n);
   now_ += n;
   fast_forwarded_ += n;
 }
@@ -698,7 +687,7 @@ std::string Gpu::dump_state() const {
      << (activity_sched_ ? "" : " (disabled)")
      << (engine_supported_ ? "" : " (unsupported geometry)")
      << (injector_ != nullptr ? " (pinned: fault injector)" : "")
-     << (migration_pending_ ? " (pinned: migration pending)" : "")
+     << (migration_pending_ ? " migration-pending" : "")
      << (engine_dirty_ ? " dirty" : "")
      << " req_src_mask=0x" << std::hex << req_src_mask_
      << " resp_src_mask=0x" << resp_src_mask_ << std::dec;

@@ -75,7 +75,7 @@ class Gpu {
   const std::vector<AppId>& desired_partition() const {
     return desired_partition_;
   }
-  bool migration_in_progress() const;
+  bool migration_in_progress() const { return migration_pending_; }
   int sms_assigned(AppId app) const;
 
   /// Gives one application's DRAM requests absolute priority in every
@@ -87,21 +87,19 @@ class Gpu {
 
   // --- Activity-tracked cycle engine (DESIGN.md §12) ---------------------
   // By default cycle() dispatches to an engine that keeps a per-SM and
-  // per-partition wake cycle (the quiet_at()/next-event machinery from the
-  // fast-forward path, maintained every cycle) plus pending-source
-  // occupancy masks for the two crossbars, so one cycle only touches
-  // components with work.  Idle components are bulk-advanced with the
-  // skip_cycles() accounting when they next wake, which keeps every
-  // simulated observable — state hashes, snapshots, interval samples —
-  // bit-identical to the per-cycle walk.  A fault injector or a pending SM
-  // migration pins the whole GPU to the per-cycle path, exactly as
-  // dead_cycles_until() refuses to skip under them.
+  // per-partition wake cycle plus pending-source occupancy masks for the
+  // two crossbars, so one cycle only touches components with work.  Idle
+  // components are bulk-advanced with the skip_cycles() accounting when
+  // they next wake, which keeps every simulated observable bit-identical
+  // to the per-cycle walk (cycle_full), including SM drain handovers.
+  // Only a fault injector or more than 64 SMs/partitions pins the GPU to
+  // cycle_full, which is otherwise the reference the engine is audited
+  // against.
 
-  /// Enables/disables the activity engine (--no-activity-sched escape
-  /// hatch).  Safe at any cycle: owed accruals are settled first, so
-  /// flipping mid-run never changes simulated state.
+  /// Enables/disables the activity engine (off = the per-cycle reference
+  /// walk, with no fast-forward).  Safe at any cycle: owed accruals are
+  /// settled first, so flipping mid-run never changes simulated state.
   void set_activity_sched(bool on);
-  bool activity_sched() const { return activity_sched_; }
 
   /// True when the next cycle() will take the activity-tracked path.
   bool activity_engine_active() const { return engine_enabled(); }
@@ -112,17 +110,14 @@ class Gpu {
 
   /// Idle-cycle fast-forward probe: returns how many cycles starting at
   /// now() are provably *dead* — cycle() would change nothing except the
-  /// per-cycle counter accruals — capped at `max_skip`.  Returns 0 when the
-  /// current cycle may do real work (or when a fault injector is attached /
-  /// a migration is pending, where per-cycle hooks must run).  The bound is
-  /// the earliest head-of-line event time across every SM, crossbar
-  /// delivery queue and memory partition; nothing in flight can act before
-  /// its queue front does.
+  /// per-cycle counter accruals — capped at `max_skip`: the engine's
+  /// earliest wake cycle.  0 when this cycle may do real work, and always
+  /// off the engine.
   Cycle dead_cycles_until(Cycle max_skip) const;
 
-  /// Applies `n` dead cycles in one jump: advances now() and adds the exact
-  /// counter accruals cycle() would have performed `n` times.  Caller must
-  /// have obtained `n` from dead_cycles_until().
+  /// Applies `n` dead cycles in one jump: advances now(); every sleeping
+  /// component accrues the skipped cycles when it next wakes or is
+  /// observed.  Caller must have obtained `n` from dead_cycles_until().
   void skip_dead_cycles(Cycle n);
 
   /// Total cycles elapsed via skip_dead_cycles() (observability for tests
@@ -203,8 +198,7 @@ class Gpu {
 
   // --- activity engine internals (see DESIGN.md §12) ---------------------
   bool engine_enabled() const {
-    return activity_sched_ && engine_supported_ && injector_ == nullptr &&
-           !migration_pending_;
+    return activity_sched_ && engine_supported_ && injector_ == nullptr;
   }
   void rebuild_engine_state();
   void cycle_engine();
@@ -246,7 +240,7 @@ class Gpu {
   // masks are derivable from component state, and the synced cursors only
   // track how much bulk accrual is still owed — all settled before any
   // observation.  Deliberately excluded from write_state().
-  bool activity_sched_ = true;   ///< --no-activity-sched clears this
+  bool activity_sched_ = true;   ///< set_activity_sched(false) clears this
   bool engine_supported_ = false;  ///< geometry fits the 64-bit masks
   bool engine_dirty_ = true;     ///< wakes/masks need a rebuild
   std::vector<Cycle> sm_wake_;    ///< next cycle SM s must be processed

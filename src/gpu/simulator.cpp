@@ -29,13 +29,11 @@ void Simulation::run(Cycle cycles) {
   const bool watchdog_on = watchdog_cycles_ != 0;
   const bool limits_on = limits_armed();
 
-  // The loop advances in *chunks* bounded by the next cycle at which
-  // per-chunk bookkeeping (interval boundary, watchdog sampling point) is
-  // due, so the inner loop carries neither the hook dispatch nor the
-  // watchdog modulo when they have nothing to do.  Chunking changes no
-  // observable behaviour: intervals fire at the same cycles as the old
-  // per-cycle checks, and the watchdog still samples at every multiple of
-  // kWatchdogCheckPeriod.
+  // The loop advances in *chunks* bounded by the next interval boundary,
+  // watchdog sampling point or hook event, so the inner loop is the engine
+  // and fast-forward alone.  Chunking changes no observable behaviour:
+  // intervals fire at their boundaries, hooks at the cycles they publish,
+  // and the watchdog samples at every multiple of kWatchdogCheckPeriod.
   while (gpu_.now() < stop) {
     Cycle chunk_end = std::min(stop, next_interval_end_);
     if (watchdog_on || limits_on) {
@@ -43,29 +41,23 @@ void Simulation::run(Cycle cycles) {
           (gpu_.now() / kWatchdogCheckPeriod + 1) * kWatchdogCheckPeriod;
       chunk_end = std::min(chunk_end, wd_next);
     }
-    if (cycle_hooks_.empty()) {
-      while (gpu_.now() < chunk_end) {
-        if (fast_forward_) {
-          const Cycle dead = gpu_.dead_cycles_until(chunk_end - gpu_.now());
-          if (dead > 0) {
-            gpu_.skip_dead_cycles(dead);
-            continue;
-          }
+    // A hook may wait on a pending migration, so its completion also ends
+    // the chunk.
+    bool watch_migration = false;
+    if (!cycle_hooks_.empty()) {
+      chunk_end = std::min(chunk_end, fire_due_hooks());
+      watch_migration = gpu_.migration_in_progress();
+    }
+    while (gpu_.now() < chunk_end) {
+      if (fast_forward_) {
+        const Cycle dead = gpu_.dead_cycles_until(chunk_end - gpu_.now());
+        if (dead > 0) {
+          gpu_.skip_dead_cycles(dead);
+          continue;
         }
-        gpu_.cycle();
       }
-    } else {
-      // Per-cycle hooks observe (and may mutate) the GPU every cycle, so
-      // neither the fast-forward nor the hoisted loop applies — and the
-      // activity engine is pinned off for the hooked stretch so every
-      // counter a hook reads is accrued through the previous cycle.
-      const bool engine_was_on = gpu_.activity_sched();
-      gpu_.set_activity_sched(false);
-      while (gpu_.now() < chunk_end) {
-        for (CycleHook* hook : cycle_hooks_) hook->on_cycle(gpu_.now(), gpu_);
-        gpu_.cycle();
-      }
-      gpu_.set_activity_sched(engine_was_on);
+      gpu_.cycle();
+      if (watch_migration && !gpu_.migration_in_progress()) break;
     }
     maybe_fire_interval();
     if (gpu_.now() % kWatchdogCheckPeriod == 0) {
@@ -95,6 +87,20 @@ void Simulation::run_until_instructions(AppId app, u64 target,
         std::min<Cycle>(interval_length_, stop - gpu_.now());
     run(stride);
   }
+}
+
+Cycle Simulation::fire_due_hooks() {
+  const Cycle now = gpu_.now();
+  for (CycleHook* hook : cycle_hooks_) {
+    if (hook->next_event_after(now, gpu_) <= now) hook->fire(now, gpu_);
+  }
+  // Asked only after every due hook fired, since one hook's action (a
+  // repartition) may move another's next event.
+  Cycle next = kNeverCycle;
+  for (const CycleHook* hook : cycle_hooks_) {
+    next = std::min(next, hook->next_event_after(now + 1, gpu_));
+  }
+  return next;
 }
 
 void Simulation::maybe_fire_interval() {

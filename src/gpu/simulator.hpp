@@ -1,7 +1,7 @@
 // Simulation driver: advances a Gpu, fires the fixed-length estimation
 // intervals (paper Section 4.4: 50K cycles), and dispatches per-interval
-// samples and per-cycle hooks to registered components (estimation models,
-// scheduling policies, epoch drivers).
+// samples and timed hook events to registered components (estimation
+// models, scheduling policies, epoch drivers).
 #pragma once
 
 #include <atomic>
@@ -31,12 +31,18 @@ class IntervalObserver {
   virtual void hash_state(Hasher&) const {}
 };
 
-/// Fired every cycle before the GPU advances; used by the MISE/ASM
-/// priority-epoch drivers.  Same SimState contract as IntervalObserver.
+/// Acts at cycles it announces in advance (the MISE/ASM priority epochs,
+/// the temporal policy).  next_event_after(now, gpu) is the first cycle
+/// t >= now at which fire(t, gpu) must run before cycle t simulates, or
+/// kNeverCycle; run() fires it exactly then, after that cycle's interval
+/// observers.  A hook waiting on a pending SM migration returns
+/// kNeverCycle: run() asks again on the cycle after the migration
+/// completes.  Same SimState contract as IntervalObserver.
 class CycleHook {
  public:
   virtual ~CycleHook() = default;
-  virtual void on_cycle(Cycle now, Gpu& gpu) = 0;
+  virtual Cycle next_event_after(Cycle now, const Gpu& gpu) const = 0;
+  virtual void fire(Cycle now, Gpu& gpu) = 0;
 
   virtual void save_state(StateWriter&) const {}
   virtual void load_state(StateReader&) {}
@@ -75,14 +81,11 @@ class Simulation {
   bool fast_forward() const { return fast_forward_; }
 
   /// Enables/disables the GPU's activity-tracked cycle engine (on by
-  /// default; --no-activity-sched clears it).  Same contract as the
-  /// fast-forward switch: simulated output is bit-identical either way.
-  /// While per-cycle hooks are registered, run() pins the engine off for
-  /// the hooked stretch regardless — hooks observe (and may mutate) the
-  /// GPU every cycle, which the lazily-accrued engine counters would
-  /// violate — and restores this setting afterwards.
+  /// default).  Same contract as the fast-forward switch: simulated output
+  /// is bit-identical either way.  The off switch turns run() into the
+  /// plain per-cycle walk, the reference the determinism audit and the
+  /// equivalence tests compare the engine against.
   void set_activity_sched(bool on) { gpu_.set_activity_sched(on); }
-  bool activity_sched() const { return gpu_.activity_sched(); }
 
   /// Attaches a loop profiler to the GPU's cycle phases plus this driver's
   /// fast-forward and interval bookkeeping (nullptr detaches).
@@ -158,6 +161,8 @@ class Simulation {
 
  private:
   void maybe_fire_interval();
+  /// Fires the hooks due at now() and returns the earliest later event.
+  Cycle fire_due_hooks();
   void check_watchdog();
   void check_limits();
   bool limits_armed() const {

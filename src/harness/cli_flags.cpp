@@ -62,15 +62,13 @@ const std::vector<FlagInfo>& flag_table() {
        "restore a single run from this snapshot before running\n"
        "(incompatible with --sweep)"},
       {FlagId::kAuditDeterminism, "--audit-determinism", nullptr,
-       "run the workload twice (activity engine + fast-forward on vs\n"
-       "both off), compare state hashes every --hash-every cycles; exit 4\n"
-       "and dump the diverging components on mismatch (combine with\n"
-       "--fault-schedule to audit under faults)"},
+       "run the workload twice, as --models/--policy/--split assemble\n"
+       "it (activity engine + fast-forward on vs both off), compare state\n"
+       "hashes every --hash-every cycles; exit 4 and dump the diverging\n"
+       "components on mismatch (combine with --fault-schedule to audit\n"
+       "under faults)"},
       {FlagId::kHashEvery, "--hash-every", "N",
        "audit sampling period in cycles (default 10000)"},
-      {FlagId::kNoActivitySched, "--no-activity-sched", nullptr,
-       "disable the activity-tracked cycle engine (escape hatch /\n"
-       "bisection aid; simulated output is bit-identical either way)"},
       {FlagId::kGovernor, "--governor", nullptr,
        "enable the policy safety governor (the default; last one of\n"
        "--governor/--no-governor wins)"},

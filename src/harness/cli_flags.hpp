@@ -48,7 +48,6 @@ enum class FlagId {
   kRestore,
   kAuditDeterminism,
   kHashEvery,
-  kNoActivitySched,
   kGovernor,
   kNoGovernor,
   kProfileLoop,

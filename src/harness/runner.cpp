@@ -96,7 +96,6 @@ std::string snapshot_path_for(const std::string& dir,
 /// already capped by max_alone_cycles, and charging them against the job's
 /// budgets would make a run job's outcome depend on the alone-cache state.
 void apply_limits(const RunConfig& rc, Simulation& sim, bool co_run) {
-  sim.set_activity_sched(rc.activity_sched);
   if (rc.wall_deadline != std::chrono::steady_clock::time_point{}) {
     sim.set_wall_deadline(rc.wall_deadline);
   }
@@ -423,7 +422,6 @@ Cycle ExperimentRunner::measure_alone_cycles(const KernelProfile& profile,
                                              u64 seed,
                                              u64 target_instructions) const {
   Simulation sim(rc_.gpu, {AppLaunch{profile, seed}});
-  sim.set_activity_sched(rc_.activity_sched);
   Gpu& gpu = sim.gpu();
   gpu.set_partition(even_partition(gpu.num_sms(), 1));
   const bool limited =

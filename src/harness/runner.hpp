@@ -61,10 +61,6 @@ struct RunConfig {
   TemporalOptions temporal;
   DaseQosOptions qos;
 
-  /// Activity-tracked cycle engine (gpu/gpu.hpp; --no-activity-sched
-  /// clears it).  Applied to every Simulation this runner drives — co-run
-  /// and alone replays; simulated output is bit-identical either way.
-  bool activity_sched = true;
   /// Policy safety governor (sched/governor.hpp; --no-governor clears
   /// it).  The governor observer is attached either way so the SimState
   /// walk keeps one shape; like the watchdog threshold this is caller

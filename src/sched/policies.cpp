@@ -19,19 +19,19 @@ std::vector<AppId> LeftoverPolicy::allocation(
   return out;
 }
 
-void TemporalPolicy::on_cycle(Cycle now, Gpu& gpu) {
-  if (!started_) {
-    started_ = true;
-    current_ = 0;
-    next_switch_ = now + options_.quantum;
-    gpu.set_partition(std::vector<AppId>(gpu.num_sms(), current_));
-    return;
+Cycle TemporalPolicy::next_event_after(Cycle now, const Gpu& gpu) const {
+  if (!started_) return now;
+  if (now < next_switch_) return next_switch_;
+  return gpu.migration_in_progress() ? kNeverCycle : now;
+}
+
+void TemporalPolicy::fire(Cycle now, Gpu& gpu) {
+  if (started_) {
+    current_ = (current_ + 1) % gpu.num_apps();
+    ++switches_;
   }
-  if (now < next_switch_) return;
-  if (gpu.migration_in_progress()) return;  // previous switch still draining
-  current_ = (current_ + 1) % gpu.num_apps();
+  started_ = true;
   next_switch_ = now + options_.quantum;
-  ++switches_;
   gpu.set_partition(std::vector<AppId>(gpu.num_sms(), current_));
 }
 

@@ -50,7 +50,12 @@ class TemporalPolicy final : public CycleHook {
   explicit TemporalPolicy(TemporalOptions options = {})
       : options_(options) {}
 
-  void on_cycle(Cycle now, Gpu& gpu) override;
+  /// The start (first query) and each quantum end; a quantum that ends
+  /// while the previous switch is still draining fires on the first cycle
+  /// after the drain completes.
+  Cycle next_event_after(Cycle now, const Gpu& gpu) const override;
+  /// Hands the whole GPU to the first application (start) or the next one.
+  void fire(Cycle now, Gpu& gpu) override;
 
   u64 switches() const { return switches_; }
 

@@ -125,7 +125,7 @@ TEST_F(BaselinesTest, EpochDriverSchedule) {
   Gpu gpu(cfg, {AppLaunch{*find_app("VA"), 1}, AppLaunch{*find_app("SA"), 2}});
   PriorityEpochDriver driver(1000, 100, 2);
   auto prio_at = [&](Cycle now) {
-    driver.on_cycle(now, gpu);
+    driver.fire(now, gpu);
     return gpu.partition(0).mc().priority_app();
   };
   EXPECT_EQ(prio_at(0), kInvalidApp);
@@ -142,10 +142,29 @@ TEST_F(BaselinesTest, EpochDriverAppliesToAllPartitions) {
   GpuConfig cfg;
   Gpu gpu(cfg, {AppLaunch{*find_app("VA"), 1}, AppLaunch{*find_app("SA"), 2}});
   PriorityEpochDriver driver(1000, 100, 2);
-  driver.on_cycle(850, gpu);
+  driver.fire(850, gpu);
   for (int p = 0; p < gpu.num_partitions(); ++p) {
     EXPECT_EQ(gpu.partition(p).mc().priority_app(), 0);
   }
+}
+
+TEST_F(BaselinesTest, EpochDriverPublishesEveryPriorityChange) {
+  // interval 1000, epoch 100, 2 apps: the priority changes at 800, 900 and
+  // 1000 of every window, and at `now` itself when the driver is out of
+  // step with the schedule (first use, or a restore).
+  GpuConfig cfg;
+  Gpu gpu(cfg, {AppLaunch{*find_app("VA"), 1}, AppLaunch{*find_app("SA"), 2}});
+  PriorityEpochDriver driver(1000, 100, 2);
+  EXPECT_EQ(driver.next_event_after(0, gpu), 800u);
+  EXPECT_EQ(driver.next_event_after(850, gpu), 850u) << "out of step";
+  driver.fire(850, gpu);
+  EXPECT_EQ(driver.next_event_after(850, gpu), 900u);
+  EXPECT_EQ(driver.next_event_after(851, gpu), 900u);
+  driver.fire(900, gpu);
+  EXPECT_EQ(driver.next_event_after(901, gpu), 1000u);
+  driver.fire(1000, gpu);
+  EXPECT_EQ(driver.next_event_after(1000, gpu), 1800u);
+  EXPECT_EQ(driver.next_event_after(1799, gpu), 1800u);
 }
 
 TEST_F(BaselinesTest, EpochDriverDefaultsLeaveMeasurementRegion) {

@@ -69,8 +69,8 @@ TEST(GoldenOutput, ContendedPairEngineOff) {
   expect_golden(*sim, kSdSa);
 }
 
-// MISE and ASM attach the priority-epoch CycleHook, which keeps every SM
-// on the per-cycle walk.
+// MISE and ASM attach the priority-epoch CycleHook, whose priority flips
+// are timed events between engine chunks.
 TEST(GoldenOutput, EpochHookedPair) {
   RunConfig rc;
   Workload w;
@@ -81,6 +81,37 @@ TEST(GoldenOutput, EpochHookedPair) {
   a.sim->run(kCycles);
   expect_golden(*a.sim, Golden{10011073988206970197u, 8794152374467795266u,
                                345890, 13957, 16271});
+}
+
+// DASE-Fair on NN+SD (the Fig. 9 pair): the policy asks for two more SMs
+// for SD at cycle 100K, and both NN SMs finish draining and are handed
+// over before 170K.  Recorded from the per-cycle walk, which every
+// migration used to pin; the engine must hand over on the same cycles.
+constexpr Cycle kDrainCycles = 180'000;
+constexpr Golden kNnSdDaseFair{12942111033887376433u, 4770337915622735859u,
+                                419487, 104837, 32036};
+
+void run_drained_repartition(bool engine_on) {
+  RunConfig rc;
+  Workload w;
+  w.apps.push_back(*find_app("NN"));
+  w.apps.push_back(*find_app("SD"));
+  CoRunAssembly a =
+      assemble_corun(rc, w, ModelSet{.dase = true}, PolicyKind::kDaseFair);
+  a.sim->set_activity_sched(engine_on);
+  a.sim->set_fast_forward(engine_on);
+  a.sim->run(kDrainCycles);
+  EXPECT_FALSE(a.sim->gpu().migration_in_progress());
+  EXPECT_EQ(a.sim->gpu().sms_assigned(1), 10) << "the drain did not finish";
+  expect_golden(*a.sim, kNnSdDaseFair);
+}
+
+TEST(GoldenOutput, DrainedRepartitionEngineOn) {
+  run_drained_repartition(true);
+}
+
+TEST(GoldenOutput, DrainedRepartitionEngineOff) {
+  run_drained_repartition(false);
 }
 
 // 96 warp contexts, filled by eight 12-warp blocks of a memory-bound

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "kernels/app_registry.hpp"
 
 namespace gpusim {
@@ -14,12 +17,21 @@ struct RecordingObserver : IntervalObserver {
   }
 };
 
-struct CountingHook : CycleHook {
-  u64 calls = 0;
-  Cycle last = 0;
-  void on_cycle(Cycle now, Gpu&) override {
-    ++calls;
-    last = now;
+/// Publishes an event every `period` cycles, offset by `phase`, and
+/// records the cycles it fired at together with the GPU clock then.
+struct PeriodicHook : CycleHook {
+  PeriodicHook(Cycle period, Cycle phase) : period(period), phase(phase) {}
+  Cycle period;
+  Cycle phase;
+  std::vector<Cycle> fired;
+  std::vector<Cycle> gpu_now;
+  Cycle next_event_after(Cycle now, const Gpu&) const override {
+    if (now <= phase) return phase;
+    return phase + ((now - phase + period - 1) / period) * period;
+  }
+  void fire(Cycle now, Gpu& gpu) override {
+    fired.push_back(now);
+    gpu_now.push_back(gpu.now());
   }
 };
 
@@ -39,15 +51,54 @@ TEST(SimulatorTest, FiresIntervalsAtConfiguredLength) {
   EXPECT_EQ(obs.samples[2].start, 20'000u);
 }
 
-TEST(SimulatorTest, CycleHooksFireEveryCycle) {
+TEST(SimulatorTest, CycleHooksFireExactlyAtPublishedCycles) {
+  // Period 7,001 and phase 13 put events off every interval (5,000),
+  // watchdog (1,024) and run() chunk boundary, and the uneven run() lengths
+  // end calls mid-period and on an event cycle (14,015).  The hook must fire
+  // once per published cycle, before that cycle simulates, on the engine.
   GpuConfig cfg;
+  cfg.estimation_interval = 5'000;
   Simulation sim(cfg, {AppLaunch{*find_app("VA"), 42}});
   sim.gpu().set_partition(even_partition(16, 1));
-  CountingHook hook;
+  PeriodicHook hook(7'001, 13);
   sim.add_cycle_hook(&hook);
-  sim.run(5'000);
-  EXPECT_EQ(hook.calls, 5'000u);
-  EXPECT_EQ(hook.last, 4'999u);
+  for (Cycle len : {4'000u, 10'015u, 1u, 20'983u}) sim.run(len);
+  const std::vector<Cycle> want = {13, 7'014, 14'015, 21'016, 28'017};
+  EXPECT_EQ(hook.fired, want);
+  EXPECT_EQ(hook.gpu_now, want);
+  EXPECT_EQ(sim.intervals_completed(), 6u);
+  EXPECT_TRUE(sim.gpu().activity_engine_active());
+}
+
+TEST(SimulatorTest, HookEventAtAnIntervalBoundaryFiresAfterTheObservers) {
+  // An event on an interval boundary fires after that interval's
+  // observers, as the observers fire at the end of the cycle before it.
+  GpuConfig cfg;
+  cfg.estimation_interval = 5'000;
+  Simulation sim(cfg, {AppLaunch{*find_app("VA"), 42}});
+  sim.gpu().set_partition(even_partition(16, 1));
+  std::vector<std::string> log;
+  struct Obs : IntervalObserver {
+    std::vector<std::string>* log;
+    void on_interval(const IntervalSample& s, Gpu&) override {
+      log->push_back("interval@" + std::to_string(s.start + s.length));
+    }
+  } obs;
+  obs.log = &log;
+  struct Hook : PeriodicHook {
+    std::vector<std::string>* log = nullptr;
+    Hook() : PeriodicHook(10'000, 0) {}
+    void fire(Cycle now, Gpu& gpu) override {
+      PeriodicHook::fire(now, gpu);
+      log->push_back("hook@" + std::to_string(now));
+    }
+  } hook;
+  hook.log = &log;
+  sim.add_observer(&obs);
+  sim.add_cycle_hook(&hook);
+  sim.run(12'000);
+  EXPECT_EQ(log, (std::vector<std::string>{"hook@0", "interval@5000",
+                                           "interval@10000", "hook@10000"}));
 }
 
 TEST(SimulatorTest, ObserversFireInRegistrationOrder) {

@@ -105,13 +105,18 @@ TEST(ShutdownSignalTest, SigtermMidEmissionNeverPublishesATornBundle) {
   }
 
   // Kill shortly after the first bundle publishes, while later emissions
-  // are in flight.
-  for (int i = 0; i < 60'000; ++i) {
+  // are in flight.  The child's ".tmp-" work directory appears before any
+  // bundle is published, so only a non-".tmp-" entry counts.
+  auto any_published = [&bundle_root] {
     std::error_code ec;
-    if (fs::exists(bundle_root, ec) &&
-        !fs::is_empty(bundle_root, ec)) {
-      break;
+    for (fs::directory_iterator it(bundle_root, ec), end; !ec && it != end;
+         it.increment(ec)) {
+      if (it->path().filename().string().rfind(".tmp-", 0) != 0) return true;
     }
+    return false;
+  };
+  for (int i = 0; i < 60'000; ++i) {
+    if (any_published()) break;
     if (waitpid(child, nullptr, WNOHANG) == child) {
       FAIL() << "child finished before producing any bundle";
     }

@@ -46,18 +46,19 @@ TEST(TemporalTest, AlternatesFullGpuOwnership) {
   Gpu gpu(cfg, {AppLaunch{*find_app("CT"), 42},
                 AppLaunch{*find_app("QR"), 43}});
   TemporalPolicy policy(TemporalOptions{.quantum = 20'000});
-  // Drive manually so we can observe ownership between quanta.
-  for (Cycle c = 0; c < 15'000; ++c) {
-    policy.on_cycle(gpu.now(), gpu);
+  // Drive manually, polling the hook every cycle, so we can observe
+  // ownership between quanta.
+  auto step = [&] {
+    if (policy.next_event_after(gpu.now(), gpu) == gpu.now()) {
+      policy.fire(gpu.now(), gpu);
+    }
     gpu.cycle();
-  }
+  };
+  for (Cycle c = 0; c < 15'000; ++c) step();
   EXPECT_EQ(gpu.sms_assigned(0), 16);
   EXPECT_EQ(gpu.sms_assigned(1), 0);
   // Run past the quantum; compute kernels drain within a block lifetime.
-  for (Cycle c = 0; c < 250'000; ++c) {
-    policy.on_cycle(gpu.now(), gpu);
-    gpu.cycle();
-  }
+  for (Cycle c = 0; c < 250'000; ++c) step();
   EXPECT_GE(policy.switches(), 1u);
   EXPECT_GT(gpu.instructions().total(1), 0u)
       << "the second app must get its turn";

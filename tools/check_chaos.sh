@@ -57,10 +57,10 @@ EOF
 
 echo "== recovery flips the canonical dropped-response outcome"
 # Recovery on: the reissue path absorbs the drop and the run completes.
-"$CLI" --apps SD,SA --cycles 100000 \
+"$CLI" --bundle-dir "$TMP/bundles" --apps SD,SA --cycles 100000 \
        --fault-schedule 'drop-resp:nth=200' | grep -q 'outcome recovered'
 # Recovery off: the conservation audit must catch the leak instead.
-"$CLI" --apps SD,SA --cycles 100000 --no-recovery \
+"$CLI" --bundle-dir "$TMP/bundles" --apps SD,SA --cycles 100000 --no-recovery \
        --fault-schedule 'drop-resp:nth=200' | grep -q 'outcome guard-caught'
 
 echo "== a minimized reproducer from the report replays to a failure"
@@ -73,7 +73,7 @@ EOF
 REPLAY="$(cat "$TMP/replay.txt")"
 if [[ -n "$REPLAY" ]]; then
   # The stored command starts with "gpusim_cli"; run it via the built CLI.
-  eval "\"$CLI\" ${REPLAY#gpusim_cli}" > "$TMP/replayed.txt" 2>&1
+  eval "\"$CLI\" --bundle-dir \"$TMP/bundles\" ${REPLAY#gpusim_cli}" > "$TMP/replayed.txt" 2>&1
   if ! grep -Eq 'outcome (guard-caught|wrong-result|hang)' "$TMP/replayed.txt"; then
     echo "error: minimized reproducer did not replay to a failure" >&2
     cat "$TMP/replayed.txt" >&2

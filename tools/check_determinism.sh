@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Determinism gate: run representative workloads through the CLI's
-# state-hash divergence audit (activity engine + fast-forward on vs both
-# off, including under a fault schedule), run the randomized
+# state-hash divergence audit (activity engine + fast-forward on vs the
+# plain per-cycle walk, on co-runs assembled exactly as real runs are:
+# plain pairs, the MISE/ASM priority-epoch hook, DASE-Fair drains, the
+# temporal policy's quantum hook, and a fault schedule), run the randomized
 # activity-engine equivalence suite, and verify a snapshotted + resumed
 # run's report is byte-identical to an uninterrupted one.  A clean pass
 # means the execution-strategy knobs cannot change simulated output.
@@ -33,15 +35,35 @@ for apps in "${WORKLOADS[@]}"; do
          --hash-every 10000
 done
 
-# Fault schedules pin the engine off per-cycle exactly like the legacy
-# fast-forward guard; audit that the pinning itself is invisible.
+# Timed hook events and SM drains run on the engine: the priority-epoch
+# driver (MISE/ASM), DASE-Fair's drained repartitions, and the temporal
+# policy's quantum switches (each a full-GPU drain).
+echo "== audit --apps NN,BS --models dase,mise,asm (priority-epoch hook)"
+"$CLI" --apps NN,BS --models dase,mise,asm --audit-determinism \
+       --cycles "$CYCLES"
+# DASE-Fair asks for two more SD SMs at 100K; the NN SMs finish draining
+# and are handed over before 170K, so this audit runs past that.
+echo "== audit --apps NN,SD --policy dase-fair (drained repartitions)"
+"$CLI" --apps NN,SD --policy dase-fair --audit-determinism --cycles 200000
+# SD's drain outlasts the run, so the second quantum waits on it; the
+# compute-bound CT,QR pair drains quickly and switches three times.
+echo "== audit --apps SD,SA --policy temporal --quantum 30000 (quantum hook)"
+"$CLI" --apps SD,SA --policy temporal --quantum 30000 --audit-determinism \
+       --cycles "$CYCLES"
+echo "== audit --apps CT,QR --policy temporal --quantum 30000 (quantum hook)"
+"$CLI" --apps CT,QR --policy temporal --quantum 30000 --audit-determinism \
+       --cycles "$CYCLES"
+
+# A fault injector pins the GPU to the per-cycle walk; audit that the
+# pinning itself is invisible.
 echo "== audit --apps SD,SA under a fault schedule"
 "$CLI" --apps SD,SA --audit-determinism --cycles "$CYCLES" \
        --fault-schedule "drop-resp:nth=200;stall:part=0,from=1000,until=5000;seed=7"
 
-# Randomized equivalence suite: 24 random configs (SM/partition counts,
+# Randomized equivalence suite: random configs (SM/partition counts,
 # queue depths, retry knobs) x {plain, faults, mid-run repartition,
-# snapshot/restore}, engine on vs off.
+# snapshot/restore, priority-epoch hook, temporal quantum hook}, engine on
+# vs off.
 echo "== activity_sched_test (randomized engine-on/off equivalence)"
 if [[ ! -x "$BUILD_DIR/tests/activity_sched_test" ]]; then
   cmake --build "$BUILD_DIR" -j "$(nproc)" --target activity_sched_test

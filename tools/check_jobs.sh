@@ -40,15 +40,18 @@ printf 'run apps=SD,SA\fcycles=30000\n' >> "$TMP/batch.jobs"
 
 echo "== batch runs to completion, serial"
 "$CLI" --job-file "$TMP/batch.jobs" --manifest "$TMP/ref.jsonl" \
+       --bundle-dir "$TMP/bundles" \
        --jobs 1 --out "$TMP/ref.json" > /dev/null
 
 echo "== same batch, 4 workers: report must be byte-identical"
 "$CLI" --job-file "$TMP/batch.jobs" --manifest "$TMP/par.jsonl" \
+       --bundle-dir "$TMP/bundles" \
        --jobs 4 --out "$TMP/par.json" > /dev/null
 cmp "$TMP/ref.json" "$TMP/par.json"
 
 echo "== SIGTERM mid-batch drains with exit 6"
 "$CLI" --job-file "$TMP/batch.jobs" --manifest "$TMP/killed.jsonl" \
+       --bundle-dir "$TMP/bundles" \
        --jobs 2 --out "$TMP/killed.json" > /dev/null 2>&1 &
 CLI_PID=$!
 # Signal as soon as the first result lands so jobs are mid-flight.
@@ -72,23 +75,27 @@ fi
 echo "== --jobs-resume finishes the batch byte-identically"
 if [[ "$SIGNALLED" == "1" ]]; then
   "$CLI" --jobs-resume "$TMP/killed.jsonl" --jobs 3 \
+         --bundle-dir "$TMP/bundles" \
          --out "$TMP/resumed.json" > /dev/null
   cmp "$TMP/ref.json" "$TMP/resumed.json"
 else
   echo "   (batch won the race against the signal — resume replays verbatim)"
-  "$CLI" --jobs-resume "$TMP/killed.jsonl" --out "$TMP/resumed.json" > /dev/null
+  "$CLI" --jobs-resume "$TMP/killed.jsonl" --out "$TMP/resumed.json" \
+         --bundle-dir "$TMP/bundles" > /dev/null
   cmp "$TMP/ref.json" "$TMP/resumed.json"
 fi
 
 echo "== a blown wall-clock deadline exits 7"
 RC=0
 "$CLI" --apps SD,SA --cycles 5000000 --deadline-ms 1 \
+       --bundle-dir "$TMP/bundles" \
        > /dev/null 2>&1 || RC=$?
 [[ "$RC" == "7" ]] || { echo "error: deadline exited $RC, expected 7" >&2; exit 1; }
 
 echo "== a blown cycle budget exits 8"
 RC=0
 "$CLI" --apps SD,SA --cycles 50000 --cycle-budget 10000 \
+       --bundle-dir "$TMP/bundles" \
        > /dev/null 2>&1 || RC=$?
 [[ "$RC" == "8" ]] || { echo "error: cycle budget exited $RC, expected 8" >&2; exit 1; }
 
@@ -101,6 +108,7 @@ run apps=VA,CT cycles=20000
 EOF
 RC=0
 "$CLI" --job-file "$TMP/quarantine.jobs" --manifest "$TMP/quar.jsonl" \
+       --bundle-dir "$TMP/bundles" \
        --quarantine-after 2 --jobs 1 --out "$TMP/quar.json" \
        > /dev/null 2>&1 || RC=$?
 [[ "$RC" == "9" ]] || { echo "error: quarantine batch exited $RC, expected 9" >&2; exit 1; }
@@ -119,7 +127,7 @@ EOF
 # failing outcome class (same convention as check_chaos.sh).
 REPLAY="$(cat "$TMP/replay.txt")"
 RC=0
-eval "\"$CLI\" ${REPLAY#gpusim_cli}" > "$TMP/replayed.txt" 2>&1 || RC=$?
+eval "\"$CLI\" --bundle-dir \"$TMP/bundles\" ${REPLAY#gpusim_cli}" > "$TMP/replayed.txt" 2>&1 || RC=$?
 if [[ "$RC" == "0" ]] &&
    ! grep -Eq 'outcome (guard-caught|wrong-result|hang)' "$TMP/replayed.txt"; then
   echo "error: quarantine reproducer replayed clean: $REPLAY" >&2

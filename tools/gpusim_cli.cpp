@@ -39,7 +39,6 @@
 #include "common/config_io.hpp"
 #include "common/fault_injection.hpp"
 #include "common/sim_error.hpp"
-#include "dase/dase_model.hpp"
 #include "gpu/simulator.hpp"
 #include "gpu/snapshot.hpp"
 #include "harness/chaos.hpp"
@@ -52,8 +51,6 @@
 #include "harness/table_printer.hpp"
 #include "harness/triage.hpp"
 #include "kernels/app_registry.hpp"
-#include "sched/governor.hpp"
-#include "telemetry/hub.hpp"
 
 namespace {
 
@@ -323,72 +320,27 @@ int run_jobs(const JobManagerOptions& opts, const std::string& job_file,
   return code;
 }
 
-/// Builds one co-run simulation for the determinism audit: the workload's
-/// applications with the harness's seeds, an even SM partition, and a DASE
-/// model attached so estimator state is part of the compared hashes.
-struct AuditSim {
-  explicit AuditSim(const RunConfig& rc, const Workload& workload)
-      : dase(std::make_unique<DaseModel>()) {
-    std::vector<AppLaunch> launches;
-    for (std::size_t i = 0; i < workload.apps.size(); ++i) {
-      launches.push_back(AppLaunch{
-          workload.apps[i],
-          harness_app_seed(rc.base_seed, static_cast<int>(i))});
-    }
-    sim = std::make_unique<Simulation>(rc.gpu, std::move(launches));
-    sim->set_watchdog(rc.watchdog_cycles);
-    sim->gpu().set_partition(even_partition(
-        sim->gpu().num_sms(), static_cast<int>(workload.apps.size())));
-    sim->add_observer(dase.get());
-    // Attached in both audit runs (same observer walk as assemble_corun),
-    // so the compared state hashes cover governor state too and the audit
-    // passes with --governor and --no-governor alike.
-    governor = std::make_unique<PolicyGovernor>(
-        GovernorOptions::from_config(rc.gpu, rc.governor), dase.get());
-    sim->add_observer(governor.get());
-    // Hub last, mirroring assemble_corun: the audit then also compares
-    // TelemetryHub state (records, drained flight-recorder events) between
-    // the two engine configurations, so telemetry nondeterminism would
-    // surface here as a divergence.
-    telemetry = std::make_unique<TelemetryHub>(
-        std::vector<TelemetryEstimatorTap>{{"DASE", dase.get()}},
-        [g = governor.get()]() { return g->interventions(); });
-    sim->add_observer(telemetry.get());
-    if (rc.faults.any()) {
-      // Auditing under faults: both runs arm identical injectors, so the
-      // fault decisions (and the injector's serialized counters) must
-      // land on the same cycles in both — any divergence is a real bug.
-      injector = std::make_unique<FaultInjector>(rc.faults);
-      sim->gpu().set_fault_injector(injector.get());
-    }
-  }
-  std::unique_ptr<DaseModel> dase;
-  std::unique_ptr<PolicyGovernor> governor;
-  std::unique_ptr<TelemetryHub> telemetry;
-  std::unique_ptr<FaultInjector> injector;
-  std::unique_ptr<Simulation> sim;
-};
-
+/// Runs the co-run twice, both assembled by assemble_corun exactly as
+/// ExperimentRunner::run builds it (models, policy, split, governor, hub
+/// and any fault injector included): run A is the production configuration
+/// (activity engine + fast-forward), run B the plain per-cycle walk with
+/// both off.  Any state-hash divergence between them is a real bug in the
+/// skipping machinery; hooks, drains and faults are all in the compared
+/// state.
 int run_audit(const RunConfig& rc, const Workload& workload,
-              Cycle hash_every) {
-  // Run A is the production configuration (activity engine + fast-forward
-  // on, unless --no-activity-sched asked for the legacy pairing); run B is
-  // the plain per-cycle walk with every optimization off.  Any state-hash
-  // divergence between them is a real bug in the skipping machinery.
-  AuditSim a(rc, workload);
-  AuditSim b(rc, workload);
-  a.sim->set_activity_sched(rc.activity_sched);
-  a.sim->set_fast_forward(true);
+              const ModelSet& models, PolicyKind policy,
+              const std::vector<int>* sm_split, Cycle hash_every) {
+  CoRunAssembly a = assemble_corun(rc, workload, models, policy, sm_split);
+  CoRunAssembly b = assemble_corun(rc, workload, models, policy, sm_split);
   b.sim->set_activity_sched(false);
   b.sim->set_fast_forward(false);
-  const char* mode = rc.activity_sched
-                         ? "activity engine + fast-forward on vs both off"
-                         : "fast-forward on vs off, activity engine off";
   const DivergenceReport report =
       audit_divergence(*a.sim, *b.sim, rc.co_run_cycles, hash_every);
-  std::cout << "determinism audit (" << workload.label() << ", " << mode
-            << ", " << rc.co_run_cycles << " cycles, hash every "
-            << hash_every << "): " << report.to_string() << '\n';
+  std::cout << "determinism audit (" << workload.label() << ", policy "
+            << to_string(policy)
+            << ", activity engine + fast-forward on vs both off, "
+            << rc.co_run_cycles << " cycles, hash every " << hash_every
+            << "): " << report.to_string() << '\n';
   return report.diverged ? 4 : 0;
 }
 
@@ -556,9 +508,6 @@ int main(int argc, char** argv) {
       case FlagId::kHashEvery:
         hash_every = parse_u64(argv[0], arg, value, 1);
         have_hash_every = true;
-        break;
-      case FlagId::kNoActivitySched:
-        rc.activity_sched = false;
         break;
       case FlagId::kGovernor:
         rc.governor = true;
@@ -839,7 +788,8 @@ int main(int argc, char** argv) {
 
     if (audit_determinism) {
       if (!fault_spec.empty()) rc.faults = FaultSchedule::parse(fault_spec);
-      return run_audit(rc, workload, hash_every);
+      return run_audit(rc, workload, models, policy,
+                       have_split ? &split : nullptr, hash_every);
     }
     if (!fault_spec.empty()) {
       return run_replay(rc, workload, policy, fault_spec, chaos_recovery,
